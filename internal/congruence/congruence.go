@@ -13,13 +13,35 @@
 // intersects its nearest dominating ancestor or, with value equality in
 // play, one of that ancestor's equal-intersecting-ancestor chain.
 //
+// The traversal skips what cannot matter. A larger-class member that no
+// smaller-class member dominates has a same-class parent (or none) and no
+// equal-intersecting ancestor in the other class, so visiting it issues no
+// test and records nothing. Whenever the stack holds no smaller-class
+// member, the larger-class members up to the next smaller-class member are
+// therefore pushed unvisited, as one lazy run found by galloping search.
+// A later pop examines a run from its end, discarding members that do not
+// dominate the current variable; by pre-DFS order such a member dominates
+// no later variable either, so the run always yields the nearest dominating
+// ancestor the eager traversal would have found. Definitions in
+// unreachable blocks break that argument (they share one preorder
+// sentinel), sort first, and are visited eagerly. Every member is examined
+// at most once per check, so a check costs O(|A|+|B|) in the worst case.
+// With S the smaller class and L the larger, the common case costs
+// O(|S|·log(|L|/|S|)) plus the members of L that members of S dominate.
+// Decisions, intersection tests and equal-intersecting-ancestor chains are
+// exactly those of the eager traversal. Merge folds the equal_anc_out of
+// the variables the check recorded, not of the whole merged class.
+//
 // A full coalescing run performs one merge per accepted affinity, so the
 // class storage is allocation-conscious: member lists and register labels
 // live in root-indexed slices (no map traffic on the hot path), merges
 // reuse the backing arrays of the merged lists whenever one has the
-// capacity, and retired arrays go to a small free list instead of the
-// garbage collector. The per-merge-allocating baseline survives behind the
-// Reference flag as the trajectory benchmark's fixed comparison point.
+// capacity, and retired arrays go to a Pool instead of the garbage
+// collector. The per-variable arrays and the traversal scratch come from
+// the Pool too: a translator that keeps one Pool per worker (NewIn +
+// Retire) sizes them once instead of per function. The per-merge-allocating
+// baseline survives behind the Reference flag as the trajectory
+// benchmark's fixed comparison point.
 package congruence
 
 import (
@@ -29,55 +51,92 @@ import (
 
 // Classes is a union-find of variables with per-class ordered member lists.
 type Classes struct {
-	chk    *interference.Checker
-	parent []ir.VarID
-	size   []int32
-	lists  [][]ir.VarID // root → members in pre-DFS def order; nil for singletons
-	reg    []string     // root → pinned register label ("" for none)
+	chk *interference.Checker
+	arrays
 
-	// singles is the identity list 0..n-1; Members serves singleton classes
-	// as one-element subslices of it instead of allocating per call.
-	singles []ir.VarID
-
-	// pool recycles member-list backing arrays retired by merges. It is
-	// private by default; NewIn installs a caller-owned pool so successive
-	// translations (and Retire at the end of each) share one set of arrays.
-	pool *ListPool
-
-	// stack is the reusable dominance-forest traversal stack of the linear
-	// checks and of recomputeEqualAnc (one live traversal at a time).
-	stack []stackEntry
+	// pool recycles member-list backing arrays retired by merges and the
+	// arrays above. It is private by default; NewIn installs a caller-owned
+	// pool so successive translations (and Retire at the end of each)
+	// share one set of arrays.
+	pool *Pool
 
 	// Reference disables the scratch reuse: every merge allocates a fresh
-	// exact-size member list, as the pre-pooling implementation did. The
-	// coalescing trajectory benchmark measures against it.
+	// exact-size member list and every traversal a fresh stack, as the
+	// pre-pooling implementation did. The coalescing trajectory benchmark
+	// measures against it.
 	Reference bool
-
-	// equalAncIn[v] is the nearest dominating ancestor of v *within v's
-	// class* that has the same value and intersects v (paper, Section
-	// IV-B); NoVar when none.
-	equalAncIn []ir.VarID
-
-	// Scratch for the linear check, consumed by Merge.
-	equalAncOut []ir.VarID
-	outEpoch    []uint32
-	epoch       uint32
 
 	// Tests counts variable-to-variable intersection tests issued by the
 	// class-level checks (quadratic vs linear instrumentation).
 	Tests int
 }
 
-// ListPool recycles class member-list backing arrays. One pool may serve
-// many Classes instances sequentially (NewIn + Retire); sharing it across
-// translations is what keeps steady-state coalescing free of per-merge
-// allocations even though every translation starts fresh classes.
-type ListPool struct {
-	spare [][]ir.VarID
+// arrays is the per-translation storage of a Classes: indexed by variable
+// (or by class root), plus the scratch of the linear checks.
+type arrays struct {
+	parent []ir.VarID
+	lists  [][]ir.VarID // root → members in pre-DFS def order; nil for singletons
+
+	// reg[r] is the architectural register root r's class is pinned to
+	// ("" for none).
+	reg []string
+
+	// equalAncIn[v] is the nearest dominating ancestor of v *within v's
+	// class* that has the same value and intersects v (paper, Section
+	// IV-B); NoVar when none.
+	equalAncIn []ir.VarID
+
+	// equalAncOut[v] is v's equal-intersecting ancestor in the other class,
+	// computed by the last InterferesLinear and consumed by Merge. It is
+	// NoVar except for the variables listed in touched.
+	equalAncOut []ir.VarID
+	touched     []ir.VarID
+
+	// stack is the reusable dominance-forest traversal stack of the linear
+	// checks and of recomputeEqualAnc (one live traversal at a time).
+	stack []stackEntry
+}
+
+// reset sizes the arrays for the variables vars, reusing their capacity,
+// and makes every variable a singleton class.
+func (a *arrays) reset(vars []*ir.Var) {
+	n := len(vars)
+	a.parent = resize(a.parent, n)
+	a.lists = resize(a.lists, n)
+	a.equalAncIn = resize(a.equalAncIn, n)
+	a.equalAncOut = resize(a.equalAncOut, n)
+	a.reg = resize(a.reg, n)
+	a.touched = a.touched[:0]
+	clear(a.lists)
+	for i, v := range vars {
+		a.parent[i] = ir.VarID(i)
+		a.equalAncIn[i] = ir.NoVar
+		a.equalAncOut[i] = ir.NoVar
+		a.reg[i] = v.Reg
+	}
+}
+
+// resize returns s with length n, reusing its capacity when it suffices.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Pool recycles the storage of Classes: the per-translation arrays of the
+// last retired instance and retired member-list backing arrays. One pool
+// may serve many Classes instances sequentially (NewIn + Retire); sharing
+// it across translations is what keeps steady-state coalescing free of
+// per-merge and per-function allocations even though every translation
+// starts fresh classes.
+type Pool struct {
+	arrays arrays
+	spare  [][]ir.VarID
 }
 
 // put retires a backing array for reuse by later merges.
-func (p *ListPool) put(a []ir.VarID) {
+func (p *Pool) put(a []ir.VarID) {
 	if cap(a) == 0 {
 		return
 	}
@@ -86,7 +145,7 @@ func (p *ListPool) put(a []ir.VarID) {
 
 // take returns an empty list with capacity at least need, preferring a
 // retired backing array over a fresh allocation.
-func (p *ListPool) take(need int) []ir.VarID {
+func (p *Pool) take(need int) []ir.VarID {
 	for i := len(p.spare) - 1; i >= 0; i-- {
 		if cap(p.spare[i]) >= need {
 			s := p.spare[i]
@@ -104,37 +163,17 @@ func New(chk *interference.Checker) *Classes {
 	return NewIn(chk, nil)
 }
 
-// NewIn is New with a caller-owned list pool feeding the merge storage;
-// nil selects a private pool. Pair it with Retire to hand the grown arrays
-// back when the classes are done.
-func NewIn(chk *interference.Checker, pool *ListPool) *Classes {
-	if pool == nil {
-		pool = &ListPool{}
+// NewIn is New with a caller-owned pool feeding the class storage; nil
+// selects a private pool, and so does a reference checker, whose classes
+// allocate everything afresh. Pair it with Retire to hand the arrays back
+// when the classes are done.
+func NewIn(chk *interference.Checker, pool *Pool) *Classes {
+	if pool == nil || chk.Reference {
+		pool = &Pool{}
 	}
-	n := len(chk.F.Vars)
-	c := &Classes{
-		pool:        pool,
-		chk:         chk,
-		parent:      make([]ir.VarID, n),
-		size:        make([]int32, n),
-		lists:       make([][]ir.VarID, n),
-		reg:         make([]string, n),
-		singles:     make([]ir.VarID, n),
-		Reference:   chk.Reference,
-		equalAncIn:  make([]ir.VarID, n),
-		equalAncOut: make([]ir.VarID, n),
-		outEpoch:    make([]uint32, n),
-	}
-	for i := range c.parent {
-		c.parent[i] = ir.VarID(i)
-		c.size[i] = 1
-		c.singles[i] = ir.VarID(i)
-		c.equalAncIn[i] = ir.NoVar
-		c.equalAncOut[i] = ir.NoVar
-	}
-	for i, v := range chk.F.Vars {
-		c.reg[i] = v.Reg
-	}
+	c := &Classes{chk: chk, arrays: pool.arrays, pool: pool, Reference: chk.Reference}
+	pool.arrays = arrays{}
+	c.reset(chk.F.Vars)
 	return c
 }
 
@@ -143,13 +182,10 @@ func (c *Classes) grow() {
 	for len(c.parent) < len(c.chk.F.Vars) {
 		v := ir.VarID(len(c.parent))
 		c.parent = append(c.parent, v)
-		c.size = append(c.size, 1)
 		c.lists = append(c.lists, nil)
-		c.reg = append(c.reg, c.chk.F.Vars[v].Reg)
-		c.singles = append(c.singles, v)
 		c.equalAncIn = append(c.equalAncIn, ir.NoVar)
 		c.equalAncOut = append(c.equalAncOut, ir.NoVar)
-		c.outEpoch = append(c.outEpoch, 0)
+		c.reg = append(c.reg, c.chk.F.Vars[v].Reg)
 	}
 }
 
@@ -179,7 +215,7 @@ func (c *Classes) Members(v ir.VarID) []ir.VarID {
 	if l := c.lists[root]; l != nil {
 		return l
 	}
-	return c.singles[root : root+1 : root+1]
+	return c.parent[root : root+1 : root+1] // a root is its own parent
 }
 
 // Reg returns the architectural register the class of v is pinned to, or "".
@@ -198,18 +234,18 @@ func (c *Classes) less(a, b ir.VarID) bool {
 // its class (testing hook).
 func (c *Classes) EqualAncIn(v ir.VarID) ir.VarID { return c.equalAncIn[v] }
 
-// Retire hands every live member list back to the classes' pool. The
-// Classes must not be used afterwards; the translator calls it once the
-// rewrite phase no longer needs class membership, so the next translation's
-// merges reuse the arrays.
+// Retire hands the classes' storage — every live member list and the
+// per-translation arrays — back to their pool. The Classes must not be
+// used afterwards; the translator calls it once the rewrite phase no
+// longer needs class membership, so the next translation reuses the
+// arrays.
 func (c *Classes) Retire() {
-	if c.Reference {
-		return // reference merges allocate exact-size lists by design
-	}
 	for i, l := range c.lists {
 		if l != nil {
 			c.pool.put(l)
 			c.lists[i] = nil
 		}
 	}
+	c.pool.arrays = c.arrays
+	c.arrays = arrays{}
 }

@@ -6,11 +6,15 @@ import "repro/internal/ir"
 // quadratic class test; x and y always belong to different classes.
 type Pred func(x, y ir.VarID) bool
 
-// stackEntry is one frame of the simulated dominance-forest traversal: a
-// variable and which of the two classes ("red" or "blue") it came from.
+// stackEntry is one frame of the simulated dominance-forest traversal: the
+// members list[lo:hi] of the smaller class (small) or of the larger one,
+// whose top is list[hi-1]. A smaller-class frame holds one member; a
+// larger-class frame holds one member or a lazy run, of which only the
+// members that dominate the variables visited after it are still ancestors
+// (pops find the others by examining the run from its end).
 type stackEntry struct {
-	v   ir.VarID
-	red bool
+	small  bool
+	lo, hi int32
 }
 
 // takeStack hands out the reusable traversal stack (empty). Under Reference
@@ -66,55 +70,7 @@ func (c *Classes) InterferesQuadratic(a, b ir.VarID, pred Pred, exemptA, exemptB
 // valid; Merge must be the next class operation to consume it, as in the
 // paper's coalescing loop.
 func (c *Classes) InterferesLinear(a, b ir.VarID) bool {
-	ra, rb := c.Find(a), c.Find(b)
-	if ra == rb {
-		return false
-	}
-	c.epoch++
-	red, blue := c.Members(ra), c.Members(rb)
-
-	dom := c.takeStack()
-	defer func() { c.putStack(dom) }()
-	nr, nb := 0, 0 // stack entries from red / blue
-	ri, bi := 0, 0
-
-	for (ri < len(red) && nb > 0) || (bi < len(blue) && nr > 0) ||
-		(ri < len(red) && bi < len(blue)) {
-		var cur ir.VarID
-		var curRed bool
-		if bi == len(blue) || (ri < len(red) && c.less(red[ri], blue[bi])) {
-			cur, curRed = red[ri], true
-			ri++
-		} else {
-			cur, curRed = blue[bi], false
-			bi++
-		}
-		// Pop entries that do not dominate cur: by pre-DFS order they can
-		// never dominate a later variable either.
-		for len(dom) > 0 && !c.chk.DefDominates(dom[len(dom)-1].v, cur) {
-			if dom[len(dom)-1].red {
-				nr--
-			} else {
-				nb--
-			}
-			dom = dom[:len(dom)-1]
-		}
-		var parent ir.VarID = ir.NoVar
-		parentRed := false
-		if len(dom) > 0 {
-			parent, parentRed = dom[len(dom)-1].v, dom[len(dom)-1].red
-		}
-		if c.interference(cur, curRed, parent, parentRed) {
-			return true
-		}
-		dom = append(dom, stackEntry{cur, curRed})
-		if curRed {
-			nr++
-		} else {
-			nb++
-		}
-	}
-	return false
+	return c.interferesLinear(a, b, true)
 }
 
 // InterferesLinearPure is Algorithm 2's two-set form with the *pure
@@ -123,62 +79,134 @@ func (c *Classes) InterferesLinear(a, b ir.VarID) bool {
 // intersection can only appear between the current variable and its
 // dominance-forest parent when the two belong to different classes.
 func (c *Classes) InterferesLinearPure(a, b ir.VarID) bool {
+	return c.interferesLinear(a, b, false)
+}
+
+// interferesLinear is the traversal shared by both linear checks; values
+// selects the value-based definition. It visits the two member lists in
+// merged pre-DFS order, except that while the stack holds no member of the
+// smaller class the larger class's members before the next smaller-class
+// member are pushed unvisited as one lazy run (see the package comment).
+func (c *Classes) interferesLinear(a, b ir.VarID, values bool) bool {
 	ra, rb := c.Find(a), c.Find(b)
 	if ra == rb {
 		return false
 	}
-	red, blue := c.Members(ra), c.Members(rb)
+	if values {
+		c.clearOut()
+	}
+	sm, lg := c.Members(ra), c.Members(rb)
+	if len(sm) > len(lg) {
+		sm, lg = lg, sm
+	}
 	dom := c.takeStack()
 	defer func() { c.putStack(dom) }()
-	nr, nb := 0, 0
-	ri, bi := 0, 0
-	for (ri < len(red) && nb > 0) || (bi < len(blue) && nr > 0) ||
-		(ri < len(red) && bi < len(blue)) {
-		var cur ir.VarID
-		var curRed bool
-		if bi == len(blue) || (ri < len(red) && c.less(red[ri], blue[bi])) {
-			cur, curRed = red[ri], true
-			ri++
-		} else {
-			cur, curRed = blue[bi], false
-			bi++
-		}
-		for len(dom) > 0 && !c.chk.DefDominates(dom[len(dom)-1].v, cur) {
-			if dom[len(dom)-1].red {
-				nr--
-			} else {
-				nb--
+	ns := 0 // smaller-class frames on the stack
+	si, li := 0, 0
+	for si < len(sm) || ns > 0 && li < len(lg) {
+		cur, curSmall := ir.NoVar, true
+		switch {
+		case ns == 0 && (li == len(lg) || c.lazyOK(lg[li])):
+			if end := c.runEnd(lg, li, sm[si]); end > li {
+				dom = append(dom, stackEntry{lo: int32(li), hi: int32(end)})
+				li = end
 			}
-			dom = dom[:len(dom)-1]
+			cur = sm[si]
+			si++
+		case si < len(sm) && (li == len(lg) || c.less(sm[si], lg[li])):
+			cur = sm[si]
+			si++
+		default:
+			cur, curSmall = lg[li], false
+			li++
 		}
-		if len(dom) > 0 && dom[len(dom)-1].red != curRed {
+
+		// Pop ancestors that do not dominate cur: by pre-DFS order they can
+		// never dominate a later variable either.
+		parent, parentSmall := ir.NoVar, false
+		for len(dom) > 0 {
+			e := &dom[len(dom)-1]
+			var top ir.VarID
+			if e.small {
+				top = sm[e.hi-1]
+			} else {
+				top = lg[e.hi-1]
+			}
+			if c.chk.DefDominates(top, cur) {
+				parent, parentSmall = top, e.small
+				break
+			}
+			if e.hi--; e.hi == e.lo {
+				if e.small {
+					ns--
+				}
+				dom = dom[:len(dom)-1]
+			}
+		}
+
+		if values {
+			if c.interference(cur, curSmall, parent, parentSmall) {
+				return true
+			}
+		} else if parent != ir.NoVar && parentSmall != curSmall {
 			c.Tests++
-			if c.chk.Intersect(dom[len(dom)-1].v, cur) {
+			if c.chk.Intersect(parent, cur) {
 				return true
 			}
 		}
-		dom = append(dom, stackEntry{cur, curRed})
-		if curRed {
-			nr++
+
+		if curSmall {
+			dom = append(dom, stackEntry{small: true, lo: int32(si - 1), hi: int32(si)})
+			ns++
 		} else {
-			nb++
+			dom = append(dom, stackEntry{lo: int32(li - 1), hi: int32(li)})
 		}
 	}
 	return false
 }
 
+// lazyOK reports whether v may open a lazy run: its definition is absent
+// or in a reachable block. Definitions in unreachable blocks share one
+// preorder sentinel, so pre-DFS order does not nest them by dominance and
+// only the eager traversal reproduces their stack; they sort first.
+func (c *Classes) lazyOK(v ir.VarID) bool {
+	du := c.chk.DU
+	return !du.HasDef(v) || c.chk.DT.Reachable(du.DefBlock(v))
+}
+
+// runEnd returns the index of the first member of l[i:] that follows v in
+// pre-DFS order (len(l) if none), galloping from i and then bisecting, so
+// a run of r members costs O(log r) comparisons.
+func (c *Classes) runEnd(l []ir.VarID, i int, v ir.VarID) int {
+	lo, hi, step := i, i, 1
+	for hi < len(l) && c.less(l[hi], v) {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	hi = min(hi, len(l))
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.less(l[m], v) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // interference is the paper's Function interference: cur's parent in the
 // merged dominance forest is parent (possibly NoVar). It reports whether
 // cur interferes with any already-visited variable of the other class, and
-// updates cur's equal-intersecting-ancestor in the other class.
-func (c *Classes) interference(cur ir.VarID, curRed bool, parent ir.VarID, parentRed bool) bool {
-	c.setOut(cur, ir.NoVar)
+// records cur's equal-intersecting ancestor in the other class.
+func (c *Classes) interference(cur ir.VarID, curSmall bool, parent ir.VarID, parentSmall bool) bool {
 	if parent == ir.NoVar {
 		return false
 	}
 	b := parent
-	if parentRed == curRed {
-		b = c.getOut(parent) // switch to the parent's chain in the other class
+	if parentSmall == curSmall {
+		b = c.equalAncOut[parent] // switch to the parent's chain in the other class
 	}
 	if b == ir.NoVar {
 		return false
@@ -206,25 +234,20 @@ func (c *Classes) chainIntersect(a, b ir.VarID) bool {
 // as a, other class) to the nearest member intersecting a, recording it as
 // a's equal-intersecting ancestor in the other class.
 func (c *Classes) updateEqualAncOut(a, b ir.VarID) {
-	tmp := b
-	for tmp != ir.NoVar {
+	for tmp := b; tmp != ir.NoVar; tmp = c.equalAncIn[tmp] {
 		c.Tests++
 		if c.chk.Intersect(a, tmp) {
-			break
+			c.equalAncOut[a] = tmp
+			c.touched = append(c.touched, a)
+			return
 		}
-		tmp = c.equalAncIn[tmp]
 	}
-	c.setOut(a, tmp)
 }
 
-func (c *Classes) setOut(v, anc ir.VarID) {
-	c.equalAncOut[v] = anc
-	c.outEpoch[v] = c.epoch
-}
-
-func (c *Classes) getOut(v ir.VarID) ir.VarID {
-	if c.outEpoch[v] != c.epoch {
-		return ir.NoVar // not visited during the current check
+// clearOut resets the equal_anc_out entries the previous check recorded.
+func (c *Classes) clearOut() {
+	for _, v := range c.touched {
+		c.equalAncOut[v] = ir.NoVar
 	}
-	return c.equalAncOut[v]
+	c.touched = c.touched[:0]
 }

@@ -7,17 +7,17 @@ import "repro/internal/ir"
 // ancestor information computed during that check is folded into the merged
 // class (paper: "the equal intersecting ancestor for the combined set is
 // updated to the maximum, following the pre-DFS order, of equal_anc_in and
-// equal_anc_out").
+// equal_anc_out"). Only the variables the check recorded an equal_anc_out
+// for can change.
 func (c *Classes) Merge(a, b ir.VarID) ir.VarID {
-	ra, rb := c.Find(a), c.Find(b)
+	ra, rb := c.roots(a, b)
 	if ra == rb {
 		return ra
 	}
-	merged := c.mergeRoots(ra, rb)
-	for _, v := range merged {
-		c.equalAncIn[v] = c.maxPre(c.equalAncIn[v], c.getOut(v))
+	for _, v := range c.touched {
+		c.equalAncIn[v] = c.maxPre(c.equalAncIn[v], c.equalAncOut[v])
 	}
-	return c.link(ra, rb, merged)
+	return c.link(ra, rb, c.mergeRoots(ra, rb))
 }
 
 // MergeForced coalesces two classes unconditionally — used for the φ-node
@@ -26,7 +26,7 @@ func (c *Classes) Merge(a, b ir.VarID) ir.VarID {
 // intersecting-ancestor chains of the merged class are recomputed with one
 // stack traversal.
 func (c *Classes) MergeForced(a, b ir.VarID) ir.VarID {
-	ra, rb := c.Find(a), c.Find(b)
+	ra, rb := c.roots(a, b)
 	if ra == rb {
 		return ra
 	}
@@ -39,23 +39,30 @@ func (c *Classes) MergeForced(a, b ir.VarID) ir.VarID {
 // intersecting-ancestor chains. It is the merge used by the quadratic
 // machinery variants, which never consult the chains.
 func (c *Classes) MergeSimple(a, b ir.VarID) ir.VarID {
-	ra, rb := c.Find(a), c.Find(b)
+	ra, rb := c.roots(a, b)
 	if ra == rb {
 		return ra
 	}
 	return c.link(ra, rb, c.mergeRoots(ra, rb))
 }
 
-// link performs the union-find merge of roots ra and rb with the merged
-// member list, propagating register labels. Two classes pinned to
+// roots returns the roots of the classes of a and b, the larger class's
+// first (union by size; a tie puts a's first).
+func (c *Classes) roots(a, b ir.VarID) (ir.VarID, ir.VarID) {
+	ra, rb := c.Find(a), c.Find(b)
+	if len(c.Members(ra)) < len(c.Members(rb)) {
+		return rb, ra
+	}
+	return ra, rb
+}
+
+// link performs the union-find merge of root rb into root ra with the
+// merged member list, propagating register labels. Two classes pinned to
 // *different* architectural registers must never be merged — the class
 // predicates treat such pairs as interfering, so reaching link with
 // conflicting pins is a force-merge bug that would silently retarget one
 // register's variables to the other; it panics instead.
 func (c *Classes) link(ra, rb ir.VarID, merged []ir.VarID) ir.VarID {
-	if c.size[ra] < c.size[rb] {
-		ra, rb = rb, ra
-	}
 	if rr := c.reg[rb]; rr != "" {
 		if ar := c.reg[ra]; ar != "" && ar != rr {
 			panic("congruence: cannot merge classes pinned to different registers " +
@@ -65,7 +72,6 @@ func (c *Classes) link(ra, rb ir.VarID, merged []ir.VarID) ir.VarID {
 		c.reg[rb] = ""
 	}
 	c.parent[rb] = ra
-	c.size[ra] += c.size[rb]
 	c.lists[ra] = merged
 	c.lists[rb] = nil
 	return ra
@@ -160,20 +166,20 @@ func (c *Classes) maxPre(x, y ir.VarID) ir.VarID {
 // ordered list, by simulating the dominance-forest traversal and scanning
 // the ancestor stack for the nearest same-value intersecting member.
 func (c *Classes) recomputeEqualAnc(list []ir.VarID) {
-	dom := c.takeStack()
-	for _, cur := range list {
-		for len(dom) > 0 && !c.chk.DefDominates(dom[len(dom)-1].v, cur) {
+	dom := c.takeStack() // one-member frames over list
+	for i, cur := range list {
+		for len(dom) > 0 && !c.chk.DefDominates(list[dom[len(dom)-1].lo], cur) {
 			dom = dom[:len(dom)-1]
 		}
 		c.equalAncIn[cur] = ir.NoVar
-		for i := len(dom) - 1; i >= 0; i-- {
-			anc := dom[i].v
+		for j := len(dom) - 1; j >= 0; j-- {
+			anc := list[dom[j].lo]
 			if c.chk.Value(anc) == c.chk.Value(cur) && c.chk.Intersect(anc, cur) {
 				c.equalAncIn[cur] = anc
 				break
 			}
 		}
-		dom = append(dom, stackEntry{v: cur})
+		dom = append(dom, stackEntry{lo: int32(i), hi: int32(i + 1)})
 	}
 	c.putStack(dom)
 }

@@ -291,7 +291,7 @@ func (t *Translation) ensureScratch() {
 }
 
 // releaseScratch detaches the scratch at the end of Rewrite, saving the
-// grown affinity buffer and the congruence member lists back and returning
+// grown affinity buffer and the congruence storage back and returning
 // pool-drawn scratches.
 func (t *Translation) releaseScratch() {
 	if t.sc == nil {
@@ -309,13 +309,22 @@ func (t *Translation) releaseScratch() {
 	t.sc = nil
 }
 
-// listPool returns the congruence member-list pool (nil for the reference
+// congPool returns the congruence storage pool (nil for the reference
 // baseline, selecting per-instance storage).
-func (t *Translation) listPool() *congruence.ListPool {
+func (t *Translation) congPool() *congruence.Pool {
 	if t.sc == nil {
 		return nil
 	}
-	return &t.sc.lists
+	return &t.sc.cong
+}
+
+// defKeys returns the checker's def-point key storage (nil for the
+// reference baseline, selecting per-checker storage).
+func (t *Translation) defKeys() *interference.DefKeys {
+	if t.sc == nil {
+		return nil
+	}
+	return &t.sc.keys
 }
 
 // newInsertion returns the insertion storage for a function of nblocks
@@ -449,9 +458,9 @@ func (t *Translation) Coalesce() error {
 
 	t.chk = &interference.Checker{
 		F: f, DT: t.An.Dom(), DU: t.An.DefUse(), Live: t.oracle(), Vals: t.vals,
-		Reference: opt.ReferenceQueries,
+		Reference: opt.ReferenceQueries, Keys: t.defKeys(),
 	}
-	t.classes = congruence.NewIn(t.chk, t.listPool())
+	t.classes = congruence.NewIn(t.chk, t.congPool())
 	precoalescePinned(f, t.classes)
 	m := &coalesce.Machinery{Chk: t.chk, Classes: t.classes, Graph: t.graph, Linear: opt.Linear, Scratch: t.coScratch()}
 

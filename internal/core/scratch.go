@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/coalesce"
 	"repro/internal/congruence"
+	"repro/internal/interference"
 	"repro/internal/ir"
 	"repro/internal/liveness"
 	"repro/internal/parcopy"
@@ -15,11 +16,12 @@ import (
 // Scratch owns the reusable working state of one translation's mutation
 // phases: the copy-insertion carriers and φ-node lists (a recycled
 // sreedhar.Insertion), the affinity buffer the coalescing phase collects
-// into, the coalescer's sort/virtualizer/sharing buffers, the parallel-copy
-// sequentializer's tables, and the rewrite phase's duplicate-destination
-// stamps. It mirrors liveness.Scratch: a Scratch may be reused across
-// functions of any size (buffers grow and are invalidated per run) but not
-// concurrently.
+// into, the coalescer's sort/virtualizer/sharing buffers, the congruence
+// classes' arrays and member lists, the interference checker's def-point
+// keys, the parallel-copy sequentializer's tables, and the rewrite phase's
+// duplicate-destination stamps. It mirrors liveness.Scratch: a Scratch may
+// be reused across functions of any size (buffers grow and are invalidated
+// per run) but not concurrently.
 //
 // Translate draws a Scratch from a package pool per call; the batch driver
 // (internal/pipeline) instead holds one per worker and threads it through
@@ -29,12 +31,13 @@ import (
 // scratch's involvement, and the translated function only references
 // arena memory owned by the function itself (ir slab allocation).
 type Scratch struct {
-	ins   sreedhar.Insertion
-	affs  []sreedhar.Affinity
-	par   parcopy.Scratch
-	co    coalesce.Scratch
-	lists congruence.ListPool
-	live  liveness.Scratch
+	ins  sreedhar.Insertion
+	affs []sreedhar.Affinity
+	par  parcopy.Scratch
+	co   coalesce.Scratch
+	cong congruence.Pool
+	keys interference.DefKeys
+	live liveness.Scratch
 
 	// stamp/epoch implement the rewrite phase's per-parallel-copy duplicate
 	// destination check without a per-instruction map.

@@ -28,6 +28,8 @@
 package interference
 
 import (
+	"slices"
+
 	"repro/internal/dom"
 	"repro/internal/ir"
 )
@@ -59,6 +61,11 @@ type Checker struct {
 	// kept baseline of the coalescing trajectory benchmark.
 	Reference bool
 
+	// Keys, when non-nil, supplies the storage of the def-point key cache
+	// below, so a caller running one checker after another reuses one set
+	// of arrays; nil makes the checker allocate its own.
+	Keys *DefKeys
+
 	// Queries counts the live-range intersection tests performed, for the
 	// instrumentation behind the paper's Figure 6 discussion.
 	Queries int
@@ -66,12 +73,19 @@ type Checker struct {
 	// Cached def-point keys, built lazily on first order/dominance query
 	// and extended as the variable universe grows. defKey packs
 	// (preorder+1)<<32 | slot so one uint64 comparison decides DefOrder;
-	// defPre/defPost answer block-level dominance without going through
-	// DefBlock. The virtualized translator invalidates moved definitions
-	// with DefMoved.
+	// its preorder half and defPost answer block-level dominance without
+	// going through DefBlock. The virtualized translator invalidates moved
+	// definitions with DefMoved.
 	defKey  []uint64
-	defPre  []int32
 	defPost []int32
+}
+
+// DefKeys is reusable storage for a Checker's def-point key cache. It may
+// serve any number of checkers one after another, never two at once: a
+// checker that adopts it overwrites the keys of the previous one.
+type DefKeys struct {
+	key  []uint64
+	post []int32
 }
 
 // Value returns V(v), or v itself when no value information is installed.
@@ -84,12 +98,23 @@ func (c *Checker) Value(v ir.VarID) ir.VarID {
 
 // ensureKeys extends the cached def-point keys to the current variable
 // universe, computing keys for any variables added since the last call.
+// The first call adopts the arrays of Keys, and every growth stores them
+// back there.
 func (c *Checker) ensureKeys() {
-	for len(c.defKey) < len(c.F.Vars) {
-		c.defKey = append(c.defKey, 0)
-		c.defPre = append(c.defPre, -1)
-		c.defPost = append(c.defPost, -1)
-		c.refreshKey(ir.VarID(len(c.defKey) - 1))
+	have, n := len(c.defKey), len(c.F.Vars)
+	if have >= n {
+		return
+	}
+	if have == 0 && c.Keys != nil {
+		c.defKey, c.defPost = c.Keys.key[:0], c.Keys.post[:0]
+	}
+	c.defKey = slices.Grow(c.defKey, n-have)[:n]
+	c.defPost = slices.Grow(c.defPost, n-have)[:n]
+	for v := have; v < n; v++ {
+		c.refreshKey(ir.VarID(v))
+	}
+	if c.Keys != nil {
+		c.Keys.key, c.Keys.post = c.defKey, c.defPost
 	}
 }
 
@@ -97,15 +122,12 @@ func (c *Checker) ensureKeys() {
 func (c *Checker) refreshKey(v ir.VarID) {
 	if !c.DU.HasDef(v) {
 		c.defKey[v] = 0
-		c.defPre[v] = -1
 		c.defPost[v] = -1
 		return
 	}
 	db := c.DU.DefBlock(v)
-	pre, post := c.DT.PreOrder(db), c.DT.PostOrder(db)
-	c.defPre[v] = pre
-	c.defPost[v] = post
-	c.defKey[v] = uint64(uint32(pre+1))<<32 | uint64(uint32(c.DU.DefSlot(v)))
+	c.defPost[v] = c.DT.PostOrder(db)
+	c.defKey[v] = uint64(uint32(c.DT.PreOrder(db)+1))<<32 | uint64(uint32(c.DU.DefSlot(v)))
 }
 
 // DefMoved tells the checker that the definition point of v changed (or was
@@ -228,14 +250,15 @@ func (c *Checker) DefDominates(a, b ir.VarID) bool {
 	ka, kb := c.defKey[a], c.defKey[b]
 	if ka>>32 == kb>>32 {
 		// Same preorder number means same block — except for the shared
-		// "unreachable" sentinel, where block identity must be recheckd.
-		if c.defPre[a] < 0 && c.DU.DefBlock(a) != c.DU.DefBlock(b) {
+		// "unreachable" sentinel, where block identity must be rechecked.
+		if ka>>32 == 0 && c.DU.DefBlock(a) != c.DU.DefBlock(b) {
 			return false
 		}
 		return ka <= kb // slot comparison: the preorder halves are equal
 	}
-	pa, pb := c.defPre[a], c.defPre[b]
-	return pa >= 0 && pb >= 0 && pa < pb && c.defPost[b] <= c.defPost[a]
+	// The preorders differ: a's must come first and b's postorder fall
+	// inside a's subtree. An unreachable a (postorder -1) dominates nothing.
+	return ka < kb && c.defPost[b] <= c.defPost[a]
 }
 
 // DefDominatesReference is the per-query derivation baseline.

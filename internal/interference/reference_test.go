@@ -70,6 +70,23 @@ func TestOptimizedQueriesMatchReference(t *testing.T) {
 	p.Funcs = 4
 	funcs = append(funcs, cfggen.Generate(p)...)
 	funcs = append(funcs, cfggen.GenerateLarge(cfggen.LargeCoalesceProfile("refdiff-large", 913, 0.04))...)
+	// Definitions in two unreachable blocks share the preorder sentinel.
+	funcs = append(funcs, ir.MustParse(`
+func unreachable {
+entry:
+  a = param 0
+  ret a
+x:
+  u1 = const 1
+  print u1
+  u3 = const 3
+  ret u3
+y:
+  w = const 0
+  u2 = copy w
+  ret u2
+}
+`))
 
 	for fi, f := range funcs {
 		useLiveCheck := fi%2 == 0

@@ -157,15 +157,17 @@ func TestQueueAdmitsThenSheds(t *testing.T) {
 
 // TestConcurrentStatsIntegrity hammers translate, batch, bad requests, and
 // stats scrapes concurrently (run under -race in CI) and then checks the
-// books balance: every issued request is accounted exactly once.
+// books balance: every issued request is accounted exactly once. The queue
+// holds every request that can wait for admission at once, so none is
+// shed; shedding has its own tests.
 func TestConcurrentStatsIntegrity(t *testing.T) {
-	s := New(Config{MaxInFlight: 4})
+	const perKind = 20
+	s := New(Config{MaxInFlight: 4, MaxQueue: 2 * perKind})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	src := testSource(t)
 	batchSrc := src + "\n" + strings.ReplaceAll(src, "func ", "func second_")
 
-	const perKind = 20
 	var wg sync.WaitGroup
 	for i := 0; i < perKind; i++ {
 		wg.Add(4)
