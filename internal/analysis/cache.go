@@ -16,6 +16,11 @@
 // current generations. Everything else goes stale automatically and is
 // recomputed on the next request.
 //
+// The dominator tree, the def-use index and the liveness checker can be
+// built into caller-owned Storage (UseStorage) instead of fresh memory, so
+// a batch worker rebuilds them in the same arrays for every function it
+// translates.
+//
 // The Cache is not safe for concurrent use; the batch driver gives each
 // worker its own per-function cache.
 package analysis
@@ -56,6 +61,16 @@ var kindNames = [...]string{
 
 func (k Kind) String() string { return kindNames[k] }
 
+// Storage is reusable memory for the analyses a Cache rebuilds in place:
+// one dominator tree, one def-use index and one liveness checker. A Cache
+// builds into it while it is installed (UseStorage); the zero value is
+// ready to use. It serves one Cache at a time.
+type Storage struct {
+	dom dom.Tree
+	du  ir.DefUse
+	lck livecheck.Checker
+}
+
 // gens snapshots the function generations an entry was computed at.
 type gens struct{ cfg, code uint64 }
 
@@ -69,6 +84,7 @@ type Cache struct {
 	lck   *livecheck.Checker
 	graph *interference.Graph
 
+	st      *Storage // nil: analyses are built in fresh memory
 	at      [NumKinds]gens
 	liveBE  liveness.Backend
 	liveSc  *liveness.Scratch
@@ -120,6 +136,28 @@ func (c *Cache) valid(k Kind) bool {
 	return c.at[k].cfg == c.f.CFGGen() && c.at[k].code == c.f.CodeGen()
 }
 
+// UseStorage makes every later recomputation of the dominator tree, the
+// def-use index and the liveness checker rebuild in st's memory; nil
+// returns to fresh allocation. Entries already built in the previously
+// installed storage are dropped, so nothing the cache hands out afterwards
+// points into memory its next user will overwrite. A rebuild empties its
+// entry first, so one that panics (the def-use index on non-SSA input)
+// leaves nothing half-built for a later request or Preserve to revive.
+func (c *Cache) UseStorage(st *Storage) {
+	if old := c.st; old != nil && old != st {
+		if c.dom == &old.dom {
+			c.dom = nil
+		}
+		if c.du == &old.du {
+			c.du = nil
+		}
+		if c.lck == &old.lck {
+			c.lck = nil
+		}
+	}
+	c.st = st
+}
+
 // Dom returns the dominator tree, rebuilding it only when the block/edge
 // structure changed since it was computed.
 func (c *Cache) Dom() *dom.Tree {
@@ -128,7 +166,13 @@ func (c *Cache) Dom() *dom.Tree {
 		return c.dom
 	}
 	c.Misses[Dom]++
-	c.dom = dom.Build(c.f)
+	if c.st == nil {
+		c.dom = dom.Build(c.f)
+	} else {
+		c.dom = nil
+		c.st.dom.Rebuild(c.f)
+		c.dom = &c.st.dom
+	}
 	c.at[Dom] = c.now()
 	return c.dom
 }
@@ -152,7 +196,13 @@ func (c *Cache) DefUse() *ir.DefUse {
 		}
 	}
 	c.Misses[DefUse]++
-	c.du = ir.NewDefUse(c.f)
+	if c.st == nil {
+		c.du = ir.NewDefUse(c.f)
+	} else {
+		c.du = nil
+		c.st.du.Rebuild(c.f)
+		c.du = &c.st.du
+	}
 	if c.incremental {
 		c.du.EnableRepair()
 	}
@@ -218,7 +268,13 @@ func (c *Cache) LiveCheck() *livecheck.Checker {
 	c.Misses[LiveCheck]++
 	dt := c.Dom()
 	du := c.DefUse()
-	c.lck = livecheck.New(c.f, dt, du)
+	if c.st == nil {
+		c.lck = livecheck.New(c.f, dt, du)
+	} else {
+		c.lck = nil
+		c.st.lck.Rebuild(c.f, dt, du)
+		c.lck = &c.st.lck
+	}
 	c.at[LiveCheck] = c.now()
 	return c.lck
 }

@@ -192,3 +192,47 @@ func TestCacheLivenessScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheStorage: with storage installed, misses rebuild in it; a rebuild
+// that panics on non-SSA input leaves nothing cached that a Preserve could
+// revive; detaching drops every entry that lives in the storage.
+func TestCacheStorage(t *testing.T) {
+	f := buildDiamond(t)
+	var st Storage
+	c := NewCache(f)
+	c.UseStorage(&st)
+	if c.Dom() != &st.dom || c.DefUse() != &st.du || c.LiveCheck() != &st.lck {
+		t.Fatal("misses with storage installed did not build in it")
+	}
+
+	// Make f non-SSA: a second definition of y.
+	join := f.Blocks[3]
+	y := join.Phis[0].Defs[0]
+	join.Instrs = append([]*ir.Instr{{Op: ir.OpConst, Defs: []ir.VarID{y}}}, join.Instrs...)
+	f.MarkCodeMutated()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("def-use rebuild on non-SSA input did not panic")
+			}
+		}()
+		c.DefUse()
+	}()
+	c.Preserve(DefUse)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a half-built def-use index was served after a failed rebuild")
+			}
+		}()
+		c.DefUse()
+	}()
+
+	join.Instrs = join.Instrs[1:]
+	f.MarkCodeMutated()
+	c.DefUse()
+	c.UseStorage(nil)
+	if c.Dom() == &st.dom || c.DefUse() == &st.du || c.LiveCheck() == &st.lck {
+		t.Fatal("entries built in detached storage are still served")
+	}
+}

@@ -21,14 +21,15 @@ func midSizeFunc(t testing.TB) *ir.Func {
 // TestTranslateSteadyStateAllocs: after warm-up, a pooled batch translation
 // — CloneInto of a pristine template plus TranslateInto with a reused
 // Scratch — of a mid-size function stays under a small fixed allocation
-// bound, for both liveness-set backends. The remaining allocations are the
-// per-translation analysis results (dominator tree, def-use index, value
-// table, liveness info), each a constant number of allocations independent
-// of how many copies the translation inserts; the mutation phases
-// themselves allocate nothing in steady state. The ordered backend's bound
-// is higher because the paper's measured set representation allocates
-// exact-size slices on every set union by design (its Figure 7 footprint
-// honesty depends on it).
+// bound, for both liveness-set backends and for the fast liveness checker.
+// The dominator tree, the def-use index and the checker are rebuilt in the
+// scratch's analysis storage; the remaining allocations are per-translation
+// results (analysis cache, value table, liveness info), each a constant
+// number of allocations independent of how many copies the translation
+// inserts; the mutation phases themselves allocate nothing in steady
+// state. The ordered backend's bound is higher because the paper's
+// measured set representation allocates exact-size slices on every set
+// union by design (its Figure 7 footprint honesty depends on it).
 func TestTranslateSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocations distort AllocsPerRun near the bound")
@@ -39,8 +40,9 @@ func TestTranslateSteadyStateAllocs(t *testing.T) {
 		opt   Options
 		bound float64
 	}{
-		{"bitsets", Options{Strategy: Sharing, Linear: true}, 400},
+		{"bitsets", Options{Strategy: Sharing, Linear: true}, 150},
 		{"ordered", Options{Strategy: Sharing, Linear: true, OrderedSets: true}, 1200},
+		{"livecheck", Options{Strategy: Sharing, Linear: true, LiveCheck: true}, 140},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			sc := NewScratch()

@@ -230,11 +230,12 @@ type Translation struct {
 	// def-use index it maintains while materializing virtualized copies.
 	An *analysis.Cache
 
-	// sc is the pooled working state of the mutation phases; nil under
+	// sc is the pooled working state of the translation; nil under
 	// Options.ReferenceAlloc. Insert draws one from the package pool unless
 	// SetScratch installed a caller-owned scratch first (the batch driver
-	// threads one per worker); pool-drawn scratches go back at the end of
-	// Rewrite.
+	// threads one per worker), and installs its analysis storage in An;
+	// Release, at the end of Rewrite, detaches both and returns pool-drawn
+	// scratches.
 	sc     *Scratch
 	pooled bool
 
@@ -269,11 +270,12 @@ func NewTranslation(f *ir.Func, opt Options, an *analysis.Cache) (*Translation, 
 	return &Translation{F: f, Opt: opt, Stats: &Stats{}, An: an}, nil
 }
 
-// SetScratch installs a caller-owned Scratch the mutation phases will work
-// in; it must be called before Insert. The caller keeps ownership: the
-// scratch is reusable (not concurrently) for the next translation as soon
-// as Rewrite finished. Under Options.ReferenceAlloc the call is ignored —
-// the reference baseline allocates fresh working state by design.
+// SetScratch installs a caller-owned Scratch the translation will work in;
+// it must be called before Insert. The caller keeps ownership: the scratch
+// is reusable (not concurrently) for the next translation as soon as the
+// translation is released — by Rewrite, or by Release after a failed
+// phase. Under Options.ReferenceAlloc the call is ignored — the reference
+// baseline allocates fresh working state by design.
 func (t *Translation) SetScratch(sc *Scratch) {
 	if t.Opt.ReferenceAlloc {
 		return
@@ -282,27 +284,38 @@ func (t *Translation) SetScratch(sc *Scratch) {
 	t.pooled = false
 }
 
-// ensureScratch attaches a pool-drawn scratch when none was installed.
-func (t *Translation) ensureScratch() {
+// attachScratch attaches a pool-drawn scratch when none was installed and
+// makes the analysis cache build into the scratch's storage.
+func (t *Translation) attachScratch() {
 	if t.sc == nil && !t.Opt.ReferenceAlloc {
 		t.sc = GetScratch()
 		t.pooled = true
 	}
+	if t.sc != nil {
+		t.An.UseStorage(&t.sc.an)
+	}
 }
 
-// releaseScratch detaches the scratch at the end of Rewrite, saving the
-// grown affinity buffer and the congruence storage back and returning
-// pool-drawn scratches.
-func (t *Translation) releaseScratch() {
+// Release ends the translation's use of its scratch: the analysis cache
+// drops the analyses it built in the scratch's storage, the translation
+// drops its own references into it, the grown affinity buffer and the
+// congruence storage go back to the scratch, and a pool-drawn scratch
+// returns to the pool. Rewrite releases on success. A driver whose
+// translation failed in an earlier phase must call Release before the
+// scratch serves another translation, and before the cache or the
+// translation escapes. Further calls do nothing.
+func (t *Translation) Release() {
 	if t.sc == nil {
 		return
 	}
+	t.An.UseStorage(nil)
 	t.sc.affs = t.affs[:0]
 	t.affs = nil
 	t.ins = nil
 	if t.classes != nil {
 		t.classes.Retire()
 	}
+	t.lck, t.chk, t.classes = nil, nil, nil
 	if t.pooled {
 		PutScratch(t.sc)
 	}
@@ -373,7 +386,7 @@ func (t *Translation) Insert() error {
 	if err != nil {
 		return err
 	}
-	t.ensureScratch()
+	t.attachScratch()
 	f, st := t.F, t.Stats
 
 	// Normalize duplicate-pred edges and split edges whose φ argument is
@@ -544,7 +557,7 @@ func (t *Translation) Rewrite() error {
 	st.Vars = len(f.Vars)
 	fillFootprint(st, f, t.graph, t.live, t.lck)
 	st.IntersectionTests = t.chk.Queries
-	t.releaseScratch()
+	t.Release()
 	if err := ir.Verify(f); err != nil {
 		return fmt.Errorf("core: translated function fails verification: %w", err)
 	}
@@ -587,7 +600,7 @@ func TranslateInto(f *ir.Func, opt Options, an *analysis.Cache, sc *Scratch) (*S
 			// A failed phase must not strand a pool-drawn scratch or the
 			// grown buffers a caller-owned one would get back at the end of
 			// Rewrite.
-			t.releaseScratch()
+			t.Release()
 			return t.Stats, err
 		}
 	}

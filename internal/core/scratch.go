@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/analysis"
 	"repro/internal/coalesce"
 	"repro/internal/congruence"
 	"repro/internal/interference"
@@ -13,24 +14,28 @@ import (
 	"repro/internal/sreedhar"
 )
 
-// Scratch owns the reusable working state of one translation's mutation
-// phases: the copy-insertion carriers and φ-node lists (a recycled
-// sreedhar.Insertion), the affinity buffer the coalescing phase collects
-// into, the coalescer's sort/virtualizer/sharing buffers, the congruence
-// classes' arrays and member lists, the interference checker's def-point
-// keys, the parallel-copy sequentializer's tables, and the rewrite phase's
-// duplicate-destination stamps. It mirrors liveness.Scratch: a Scratch may
-// be reused across functions of any size (buffers grow and are invalidated
-// per run) but not concurrently.
+// Scratch owns the reusable working state of one translation: the
+// storage the analysis cache rebuilds the dominator tree, the def-use index
+// and the liveness checker in, the copy-insertion carriers and φ-node lists
+// (a recycled sreedhar.Insertion), the affinity buffer the coalescing phase
+// collects into, the coalescer's sort/virtualizer/sharing buffers, the
+// congruence classes' arrays and member lists, the interference checker's
+// def-point keys, the parallel-copy sequentializer's tables, and the
+// rewrite phase's duplicate-destination stamps. It mirrors
+// liveness.Scratch: a Scratch may be reused across functions of any size
+// (buffers grow and are invalidated per run) but not concurrently.
 //
 // Translate draws a Scratch from a package pool per call; the batch driver
 // (internal/pipeline) instead holds one per worker and threads it through
 // every function the worker translates, which is what makes steady-state
 // batch translation allocation-free (amortized). Nothing handed out by a
-// Scratch survives the translation that used it: the rewrite phase ends the
-// scratch's involvement, and the translated function only references
-// arena memory owned by the function itself (ir slab allocation).
+// Scratch survives the translation that used it: Translation.Release ends
+// the scratch's involvement — the analysis cache drops what it built in
+// the storage, and the translation its references into it — and the
+// translated function only references arena memory owned by the function
+// itself (ir slab allocation).
 type Scratch struct {
+	an   analysis.Storage
 	ins  sreedhar.Insertion
 	affs []sreedhar.Affinity
 	par  parcopy.Scratch

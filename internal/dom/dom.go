@@ -22,30 +22,49 @@ type Tree struct {
 
 	frontier  [][]int // lazily computed dominance frontier
 	loopDepth []int   // lazily computed loop nesting depth
+
+	flat []int // backing array the children lists are carved from
+
+	// Working state of a build, kept so Rebuild reuses it.
+	seen   []bool
+	stack  []frame
+	counts []int32
+}
+
+// frame is one entry of the iterative depth-first walks: a block and the
+// index of the next successor (or child) to visit.
+type frame struct{ b, next int }
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Build computes the dominator tree of f. Unreachable blocks have no
 // dominator and are reported by Reachable.
 func Build(f *ir.Func) *Tree {
+	t := &Tree{}
+	t.Rebuild(f)
+	return t
+}
+
+// Rebuild recomputes the tree for f in place, reusing t's arrays; a batch
+// worker rebuilds one Tree for every function it translates. Everything
+// previously returned by t (RPO, Children, Frontier, LoopDepth) is
+// invalidated.
+func (t *Tree) Rebuild(f *ir.Func) {
 	n := len(f.Blocks)
-	t := &Tree{
-		f:      f,
-		idom:   make([]int, n),
-		rpoPos: make([]int32, n),
-	}
+	t.f = f
+	t.frontier, t.loopDepth = nil, nil
+	t.idom = resize(t.idom, n)
 	for i := range t.idom {
 		t.idom[i] = -1
-		t.rpoPos[i] = -1
 	}
-
-	// Postorder DFS from the entry, iterative to tolerate deep CFGs.
-	post := postorder(f)
-	t.rpo = make([]int, len(post))
-	for i, b := range post {
-		pos := len(post) - 1 - i
-		t.rpo[pos] = b
-		t.rpoPos[b] = int32(pos)
-	}
+	t.order()
 
 	// Cooper-Harvey-Kennedy iteration.
 	entry := f.Entry().ID
@@ -73,28 +92,34 @@ func Build(f *ir.Func) *Tree {
 			}
 		}
 	}
+	t.link()
+}
 
-	// Children lists and DFS numbering of the dominator tree. The lists are
-	// carved out of one flat array (CSR layout): counting pass, region
-	// carve, fill pass — a constant number of allocations instead of one
-	// append chain per interior node.
-	t.children = make([][]int, n)
-	counts := make([]int32, n)
+// link builds the children lists from idom and numbers the tree. The lists
+// are carved out of one flat array (CSR layout): counting pass, region
+// carve, fill pass — no append chain per interior node.
+func (t *Tree) link() {
+	n := len(t.f.Blocks)
+	entry := t.f.Entry().ID
+	t.children = resize(t.children, n)
+	clear(t.children)
+	t.counts = resize(t.counts, n)
+	clear(t.counts)
 	total := 0
 	for _, b := range t.rpo {
 		if b == entry {
 			continue
 		}
-		counts[t.idom[b]]++
+		t.counts[t.idom[b]]++
 		total++
 	}
-	flat := make([]int, total)
+	t.flat = resize(t.flat, total)
 	off := 0
-	for p, c := range counts {
+	for p, c := range t.counts {
 		if c == 0 {
 			continue
 		}
-		t.children[p] = flat[off : off : off+int(c)]
+		t.children[p] = t.flat[off : off : off+int(c)]
 		off += int(c)
 	}
 	for _, b := range t.rpo {
@@ -105,7 +130,6 @@ func Build(f *ir.Func) *Tree {
 		t.children[p] = append(t.children[p], b)
 	}
 	t.number()
-	return t
 }
 
 // intersect walks two blocks up the (partially built) dominator tree to
@@ -165,6 +189,11 @@ func (t *Tree) PostOrder(b int) int32 { return t.post[b] }
 
 // RPO returns the blocks in reverse postorder of the CFG.
 func (t *Tree) RPO() []int { return t.rpo }
+
+// RPONumber returns the position of b in RPO (-1 if unreachable). A CFG
+// edge u→v retreats in the depth-first walk behind RPO (v is an ancestor
+// of u on that walk, or u itself) iff RPONumber(v) <= RPONumber(u).
+func (t *Tree) RPONumber(b int) int32 { return t.rpoPos[b] }
 
 // Frontier returns the dominance frontier of every block, computed once on
 // first use with the Cooper-Harvey-Kennedy per-join walk.

@@ -2,6 +2,7 @@ package dom_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -258,5 +259,39 @@ func TestDominanceTransitivity(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuildMatchesBuild: one Tree rebuilt in place for a sequence of
+// functions, small after large, answers like a tree built fresh for each,
+// its lazily computed frontier and loop depths included.
+func TestRebuildMatchesBuild(t *testing.T) {
+	var funcs []*ir.Func
+	for _, scale := range []float64{0.5, 0.05} {
+		funcs = append(funcs, cfggen.GenerateLarge(cfggen.LargeLivenessProfile("rb", 3, scale))...)
+	}
+	funcs = append(funcs, ir.MustParse(diamond))
+	var tr dom.Tree
+	for _, f := range funcs {
+		tr.Rebuild(f)
+		want := dom.Build(f)
+		if !slices.Equal(tr.RPO(), want.RPO()) {
+			t.Fatalf("%s: RPO differs from a fresh build", f.Name)
+		}
+		for _, b := range f.Blocks {
+			if tr.IDom(b.ID) != want.IDom(b.ID) || tr.PreOrder(b.ID) != want.PreOrder(b.ID) ||
+				tr.PostOrder(b.ID) != want.PostOrder(b.ID) || tr.RPONumber(b.ID) != want.RPONumber(b.ID) ||
+				!slices.Equal(tr.Children(b.ID), want.Children(b.ID)) {
+				t.Fatalf("%s: block %s differs from a fresh build", f.Name, b.Name)
+			}
+		}
+		if !slices.Equal(tr.LoopDepth(), want.LoopDepth()) {
+			t.Fatalf("%s: loop depths differ from a fresh build", f.Name)
+		}
+		for b, df := range tr.Frontier() {
+			if !slices.Equal(df, want.Frontier()[b]) {
+				t.Fatalf("%s: frontier of %s differs from a fresh build", f.Name, f.Blocks[b].Name)
+			}
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package dom
 
-import "repro/internal/ir"
+import (
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // BuildLT computes the dominator tree with the Lengauer-Tarjan algorithm
 // (simple path-compression variant, O(E·α(E,V))). It produces a Tree
@@ -67,38 +71,20 @@ func BuildLT(f *ir.Func) *Tree {
 		}
 	}
 
-	// Assemble a Tree equivalent to Build's result.
-	t := &Tree{
-		f:      f,
-		idom:   make([]int, n),
-		rpoPos: make([]int32, n),
-	}
+	// Assemble a Tree equivalent to Build's result, with the same reverse
+	// postorder walk Build uses, so the Tree's auxiliary orders behave
+	// identically.
+	t := &Tree{f: f, idom: make([]int, n)}
 	for i := range t.idom {
 		t.idom[i] = -1
-		t.rpoPos[i] = -1
 	}
 	entry := f.Entry().ID
 	t.idom[entry] = entry
 	for _, w := range lt.vertex[1:] {
 		t.idom[w] = lt.idom[w]
 	}
-	// RPO: recompute with the same postorder walk Build uses, so the Tree's
-	// auxiliary orders behave identically.
-	post := postorder(f)
-	t.rpo = make([]int, len(post))
-	for i, b := range post {
-		pos := len(post) - 1 - i
-		t.rpo[pos] = b
-		t.rpoPos[b] = int32(pos)
-	}
-	t.children = make([][]int, n)
-	for _, b := range t.rpo {
-		if b == entry {
-			continue
-		}
-		t.children[t.idom[b]] = append(t.children[t.idom[b]], b)
-	}
-	t.number()
+	t.order()
+	t.link()
 	return t
 }
 
@@ -169,65 +155,72 @@ func (lt *ltState) compress(v int) {
 	}
 }
 
-// postorder walks the CFG exactly like Build.
-func postorder(f *ir.Func) []int {
+// order computes the reverse postorder of the CFG from a depth-first walk
+// from the entry that visits successors in order (iterative, to tolerate
+// deep CFGs).
+func (t *Tree) order() {
+	f := t.f
 	n := len(f.Blocks)
-	post := make([]int, 0, n)
-	state := make([]int8, n)
-	type frame struct {
-		b    *ir.Block
-		next int
+	t.rpoPos = resize(t.rpoPos, n)
+	t.seen = resize(t.seen, n)
+	for i := range t.rpoPos {
+		t.rpoPos[i] = -1
+		t.seen[i] = false
 	}
-	stack := []frame{{b: f.Entry()}}
-	state[f.Entry().ID] = 1
+	t.rpo = resize(t.rpo, n)[:0]
+	entry := f.Entry().ID
+	stack := append(t.stack[:0], frame{b: entry})
+	t.seen[entry] = true
 	for len(stack) > 0 {
 		fr := &stack[len(stack)-1]
-		if fr.next < len(fr.b.Succs) {
-			s := fr.b.Succs[fr.next]
+		succs := f.Blocks[fr.b].Succs
+		if fr.next < len(succs) {
+			s := succs[fr.next].ID
 			fr.next++
-			if state[s.ID] == 0 {
-				state[s.ID] = 1
+			if !t.seen[s] {
+				t.seen[s] = true
 				stack = append(stack, frame{b: s})
 			}
 			continue
 		}
-		state[fr.b.ID] = 2
-		post = append(post, fr.b.ID)
+		t.rpo = append(t.rpo, fr.b) // postorder for now
 		stack = stack[:len(stack)-1]
 	}
-	return post
+	t.stack = stack
+	slices.Reverse(t.rpo)
+	for pos, b := range t.rpo {
+		t.rpoPos[b] = int32(pos)
+	}
 }
 
 // number assigns pre/post DFS numbers over the dominator tree (shared by
 // both constructions).
 func (t *Tree) number() {
 	n := len(t.f.Blocks)
-	t.pre = make([]int32, n)
-	t.post = make([]int32, n)
+	t.pre = resize(t.pre, n)
+	t.post = resize(t.post, n)
 	for i := range t.pre {
 		t.pre[i] = -1
 		t.post[i] = -1
 	}
 	entry := t.f.Entry().ID
 	var clock int32
-	type nframe struct {
-		b, next int
-	}
-	nstack := []nframe{{b: entry}}
+	stack := append(t.stack[:0], frame{b: entry})
 	t.pre[entry] = clock
 	clock++
-	for len(nstack) > 0 {
-		fr := &nstack[len(nstack)-1]
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
 		if fr.next < len(t.children[fr.b]) {
 			c := t.children[fr.b][fr.next]
 			fr.next++
 			t.pre[c] = clock
 			clock++
-			nstack = append(nstack, nframe{b: c})
+			stack = append(stack, frame{b: c})
 			continue
 		}
 		t.post[fr.b] = clock
 		clock++
-		nstack = nstack[:len(nstack)-1]
+		stack = stack[:len(stack)-1]
 	}
+	t.stack = stack
 }

@@ -1,7 +1,9 @@
 package ir
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -42,6 +44,11 @@ type DefUse struct {
 	defInstr []*Instr
 	uses     [][]UseSite
 
+	// Working state of a build, kept so Rebuild reuses it: per-variable use
+	// counts and the array the use lists are carved from.
+	counts  []int32
+	backing []UseSite
+
 	// rep, when non-nil, is the opt-in patch-repair state (EnableRepair /
 	// RepairBlocks in defuse_repair.go).
 	rep *duRepair
@@ -49,25 +56,52 @@ type DefUse struct {
 
 // NewDefUse builds the index. The function must be in SSA form (each
 // variable defined at most once); a second definition panics.
+func NewDefUse(f *Func) *DefUse {
+	du := &DefUse{}
+	du.Rebuild(f)
+	return du
+}
+
+// reuse returns s with length n, reusing its backing array when it is large
+// enough. Elements past n are zeroed first, so a shrunken array keeps
+// nothing of a previous, larger function reachable; the first n elements
+// are unspecified.
+func reuse[T any](s []T, n int) []T {
+	if n < len(s) {
+		clear(s[n:])
+	}
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Rebuild indexes f in place, reusing du's arrays, so a batch worker
+// indexes every function it translates in the same memory. Like NewDefUse
+// it panics on a second definition, leaving du unusable until the next
+// successful Rebuild. Repair state (EnableRepair) is dropped.
 //
 // The use lists are carved out of one shared backing array: a counting pass
 // sizes every variable's region, a fill pass appends into it. Building the
 // index therefore costs a constant number of allocations instead of one per
-// variable; each list's capacity equals its length, so a later AddUse that
-// outgrows a region reallocates that list privately and can never clobber a
-// neighbour's.
-func NewDefUse(f *Func) *DefUse {
+// variable, and none once the arrays are large enough; each list's capacity
+// equals its length, so a later AddUse that outgrows a region reallocates
+// that list privately and can never clobber a neighbour's.
+func (du *DefUse) Rebuild(f *Func) {
 	n := len(f.Vars)
-	du := &DefUse{
-		f:        f,
-		defBlock: make([]int32, n),
-		defSlot:  make([]int32, n),
-		defInstr: make([]*Instr, n),
-		uses:     make([][]UseSite, n),
-	}
+	du.f = f
+	du.rep = nil
+	du.defBlock = reuse(du.defBlock, n)
+	du.defSlot = reuse(du.defSlot, n)
+	du.defInstr = reuse(du.defInstr, n)
+	du.uses = reuse(du.uses, n)
+	du.counts = reuse(du.counts, n)
 	for i := range du.defBlock {
 		du.defBlock[i] = -1
 	}
+	clear(du.defInstr)
+	clear(du.uses)
+	clear(du.counts)
 	def := func(v VarID, b int, slot int32, in *Instr) {
 		if du.defBlock[v] >= 0 {
 			panic("ir: variable " + f.VarName(v) + " defined twice (not SSA)")
@@ -78,7 +112,7 @@ func NewDefUse(f *Func) *DefUse {
 	}
 
 	// Pass 1: record definitions, count uses per variable.
-	counts := make([]int32, n)
+	counts := du.counts
 	total := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Phis {
@@ -101,13 +135,13 @@ func NewDefUse(f *Func) *DefUse {
 	}
 
 	// Carve per-variable regions out of one backing array.
-	backing := make([]UseSite, total)
+	du.backing = reuse(du.backing, total)
 	off := 0
 	for v, c := range counts {
 		if c == 0 {
 			continue
 		}
-		du.uses[v] = backing[off : off : off+int(c)]
+		du.uses[v] = du.backing[off : off : off+int(c)]
 		off += int(c)
 	}
 
@@ -130,10 +164,17 @@ func NewDefUse(f *Func) *DefUse {
 	// so the collected lists are not yet (block, slot)-sorted.
 	for _, us := range du.uses {
 		if !sortedUses(us) {
-			sort.SliceStable(us, func(i, j int) bool { return us[i].before(us[j].Block, us[j].Slot) })
+			slices.SortStableFunc(us, compareUses)
 		}
 	}
-	return du
+}
+
+// compareUses orders use sites by (block, slot).
+func compareUses(a, b UseSite) int {
+	if c := cmp.Compare(a.Block, b.Block); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Slot, b.Slot)
 }
 
 // sortedUses reports whether us is already (block, slot)-sorted.

@@ -107,6 +107,30 @@ func TestVerifyCatchesBrokenCFG(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsMalformedPhis: φ operands are range-checked like body
+// operands, and a φ must have exactly one destination.
+func TestVerifyRejectsMalformedPhis(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(f *Func, phi *Instr)
+		want    string
+	}{
+		{"NoVar argument", func(f *Func, phi *Instr) { phi.Uses[0] = NoVar }, "use of unknown variable -1"},
+		{"argument out of range", func(f *Func, phi *Instr) { phi.Uses[1] = VarID(len(f.Vars)) }, "use of unknown variable"},
+		{"destination out of range", func(f *Func, phi *Instr) { phi.Defs[0] = VarID(len(f.Vars)) }, "def of unknown variable"},
+		{"no destination", func(f *Func, phi *Instr) { phi.Defs = nil }, "phi has 0 defs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := MustParse(sample)
+			tc.corrupt(f, f.Blocks[1].Phis[0])
+			err := Verify(f)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Verify = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestDefUse(t *testing.T) {
 	f := MustParse(sample)
 	du := NewDefUse(f)
@@ -150,6 +174,44 @@ func TestDefUseRejectsDoubleDef(t *testing.T) {
 		}
 	}()
 	NewDefUse(f)
+}
+
+// TestDefUseRebuildDropsOldInstrs: an index rebuilt in place for a small
+// function after a large one matches a fresh index and keeps none of the
+// large function's instructions reachable from the reused arrays.
+func TestDefUseRebuildDropsOldInstrs(t *testing.T) {
+	large := MustParse(sample)
+	for i := 0; i < 40; i++ {
+		in := &Instr{Op: OpConst, Defs: []VarID{large.NewVar("")}}
+		large.Blocks[0].Instrs = append([]*Instr{in}, large.Blocks[0].Instrs...)
+		large.Blocks[2].Instrs = append([]*Instr{{Op: OpPrint, Uses: []VarID{in.Defs[0]}}}, large.Blocks[2].Instrs...)
+	}
+	small := MustParse("func s {\nentry:\n  x = param 0\n  ret x\n}")
+	du := NewDefUse(large)
+	du.Rebuild(small)
+	want := NewDefUse(small)
+	for v := range small.Vars {
+		vid := VarID(v)
+		if du.DefBlock(vid) != want.DefBlock(vid) || du.DefInstr(vid) != want.DefInstr(vid) ||
+			len(du.Uses(vid)) != len(want.Uses(vid)) {
+			t.Fatalf("rebuilt entry of %s differs from a fresh index", small.VarName(vid))
+		}
+	}
+	for _, in := range du.defInstr[len(small.Vars):cap(du.defInstr)] {
+		if in != nil {
+			t.Fatal("reused definition array still holds an instruction of the previous function")
+		}
+	}
+	for _, us := range du.uses[len(small.Vars):cap(du.uses)] {
+		if us != nil {
+			t.Fatal("reused use-list array still holds a list of the previous function")
+		}
+	}
+	for _, u := range du.backing[len(du.backing):cap(du.backing)] {
+		if u.Instr != nil {
+			t.Fatal("reused use backing still holds an instruction of the previous function")
+		}
+	}
 }
 
 func TestCloneIndependence(t *testing.T) {

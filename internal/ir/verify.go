@@ -4,8 +4,9 @@ import "fmt"
 
 // Verify checks the structural integrity of the CFG: block IDs match
 // indices, edges are symmetric, every reachable block ends in a terminator,
-// φ argument counts match predecessor counts, terminators appear only in
-// final position, and operand lists have the arities their opcodes demand.
+// every φ has one destination and one argument per predecessor, terminators
+// appear only in final position, operand lists have the arities their
+// opcodes demand, and every operand names a variable of the function.
 func Verify(f *Func) error {
 	for i, b := range f.Blocks {
 		if b.ID != i {
@@ -46,6 +47,12 @@ func Verify(f *Func) error {
 			if in.Op != OpPhi {
 				return fmt.Errorf("block %s: non-phi %s in phi list", b.Name, in.Op)
 			}
+			if len(in.Defs) != 1 {
+				return fmt.Errorf("block %s: phi has %d defs", b.Name, len(in.Defs))
+			}
+			if err := checkOperands(f, b, in); err != nil {
+				return err
+			}
 			if len(in.Uses) != len(b.Preds) {
 				return fmt.Errorf("block %s: phi of %s has %d args for %d preds",
 					b.Name, f.VarName(in.Defs[0]), len(in.Uses), len(b.Preds))
@@ -69,10 +76,8 @@ func Verify(f *Func) error {
 	return nil
 }
 
-func checkArity(f *Func, b *Block, in *Instr) error {
-	bad := func() error {
-		return fmt.Errorf("block %s: %s has %d defs / %d uses", b.Name, in.Op, len(in.Defs), len(in.Uses))
-	}
+// checkOperands rejects definitions and uses that name no variable of f.
+func checkOperands(f *Func, b *Block, in *Instr) error {
 	for _, v := range in.Defs {
 		if int(v) < 0 || int(v) >= len(f.Vars) {
 			return fmt.Errorf("block %s: def of unknown variable %d", b.Name, v)
@@ -82,6 +87,16 @@ func checkArity(f *Func, b *Block, in *Instr) error {
 		if int(v) < 0 || int(v) >= len(f.Vars) {
 			return fmt.Errorf("block %s: use of unknown variable %d", b.Name, v)
 		}
+	}
+	return nil
+}
+
+func checkArity(f *Func, b *Block, in *Instr) error {
+	bad := func() error {
+		return fmt.Errorf("block %s: %s has %d defs / %d uses", b.Name, in.Op, len(in.Defs), len(in.Uses))
+	}
+	if err := checkOperands(f, b, in); err != nil {
+		return err
 	}
 	switch in.Op {
 	case OpConst, OpParam:

@@ -2,30 +2,51 @@
 // programs in the style of Boissinot et al. (CGO'08), the substrate the
 // paper uses to drop liveness sets entirely (option "LiveCheck").
 //
-// Instead of dataflow liveness sets, the checker precomputes, per basic
-// block, the set R(q) of blocks reachable from q in the reduced CFG (back
-// edges removed, where back edges are DFS retreating edges — equivalently,
-// for reducible CFGs, edges whose target dominates their source), plus the
-// list of back edges.
+// Instead of dataflow liveness sets, the checker stores three structures
+// that depend only on the CFG. Back edges are the retreating edges of the
+// depth-first walk behind the dominator tree's reverse postorder; removing
+// them leaves the acyclic reduced graph. The loop targets are the distinct
+// back-edge targets, numbered in dominator-tree preorder.
+//
+//   - R(b): the blocks b reaches in the reduced graph, b included.
+//   - Loops(b): the loop targets t such that some back edge s→t leaves a
+//     block s in R(b) — the loops a walk from b can re-enter.
+//   - Reachers(b): the loop targets t with b in R(t).
+//
+// R and Loops are built in one reverse-topological pass over the reduced
+// graph, Reachers from R. With at most 64 loop targets, Loops(b) and
+// Reachers(b) are one word each.
 //
 // A query for variable a defined in block d (which dominates all its uses)
-// then closes q's reachability over back edges *without ever crossing d*:
-// starting from R(q), the targets of back edges whose source is reached are
-// accepted — re-entering their loop — provided the target is strictly
-// inside d's dominance region (a target outside it can only reach a's uses
-// back through d, which redefines a; the definition block itself is a
-// barrier). a is live-in at q iff the closure reaches a use. Because the
-// structures depend only on the CFG, they stay valid while instructions are
-// inserted or removed — exactly what the out-of-SSA translator needs while
-// it inserts copies.
+// asks whether some use of a is reachable from q without crossing d. Such a
+// walk may re-enter the loop of target t only if t lies strictly inside d's
+// dominance region: a target outside it reaches a's uses only back through
+// d, which redefines a, and d itself is a barrier. Those targets are one
+// contiguous run of the preorder numbering, so the query walks target bits
+// outward from q: it accepts the allowed targets in Loops(q), then the
+// allowed targets in Loops(t) of every accepted t, until nothing new is
+// accepted. a is live-in at q iff some use block u lies in R(q), or
+// Reachers(u) shares a bit with the accepted set — one bit probe and one
+// word-AND per use.
 //
-// The implementation is validated by differential tests against package
-// liveness on generated (reducible) CFGs; irreducible CFGs are outside the
-// scope of the workload generator, as in the paper's experimental setup.
+// The answer is exact on every CFG, irreducible ones included, because it
+// decides the same thing as the fixpoint that closes R(q) over back edges:
+// the fixpoint accepts a target when a back edge into it leaves a block
+// already reached, and a block is reached iff it lies in R(q) or in R(t)
+// of an accepted t. That is exactly a target bit of Loops(q) or Loops(t),
+// and exactly the Reachers test. Nothing in the argument needs t to
+// dominate its back-edge sources; the tests hold the checker to that
+// fixpoint and to dataflow liveness on random irreducible CFGs.
+//
+// Because the structures depend only on the CFG, they stay valid while
+// instructions are inserted or removed — exactly what the out-of-SSA
+// translator needs while it inserts copies.
 package livecheck
 
 import (
-	"repro/internal/bitset"
+	"math/bits"
+	"slices"
+
 	"repro/internal/dom"
 	"repro/internal/interference"
 	"repro/internal/ir"
@@ -39,131 +60,181 @@ var _ interference.BlockLiveness = (*Checker)(nil)
 // Checker answers liveness queries from CFG-only precomputation plus the
 // def-use index of the current program.
 type Checker struct {
-	f     *ir.Func
-	dt    *dom.Tree
-	du    *ir.DefUse
-	r     []*bitset.Set // reduced reachability per block
-	backs []backEdge    // all back edges of the CFG
+	f  *ir.Func
+	dt *dom.Tree
+	du *ir.DefUse
+
+	rw       int      // words per R row
+	r        []uint64 // R(b), rw words per block
+	tw       int      // words per loop-target row
+	tgts     []int32  // loop targets in dominator-tree preorder
+	tgtPre   []int32  // preorder number of each loop target (sorted)
+	loops    []uint64 // Loops(b), tw words per block
+	reachers []uint64 // Reachers(b), tw words per block
 
 	// Per-query scratch, reused across queries; the checker is therefore
 	// not safe for concurrent use.
-	reach    *bitset.Set
-	accepted *bitset.Set
-	lastQ    int // block of the cached closure; -1 when invalid
-	lastD    int // definition block of the cached closure
+	allowed, acc []uint64
+	stack        []int32
+
+	tgtOf []int32 // build scratch: loop-target index of each block
 }
 
-type backEdge struct{ src, tgt int }
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
 // New precomputes the checking structures for f. The def-use index du must
-// describe the current instructions of f; call SetDefUse after rewriting
-// the program (the CFG-derived structures are reused as long as the CFG is
-// unchanged).
+// describe the current instructions of f.
 func New(f *ir.Func, dt *dom.Tree, du *ir.DefUse) *Checker {
-	n := len(f.Blocks)
-	c := &Checker{f: f, dt: dt, du: du}
-
-	// Identify back edges with a DFS from the entry: an edge is a back
-	// edge when its target is on the current DFS stack (retreating edge).
-	// backFrom[s] lists the back-edge targets out of block s (a handful at
-	// most — the out-degree is bounded by the terminator arity).
-	onStack := make([]bool, n)
-	visited := make([]bool, n)
-	backFrom := make([][]int, n)
-	type frame struct {
-		b    *ir.Block
-		next int
-	}
-	stack := []frame{{b: f.Entry()}}
-	visited[f.Entry().ID] = true
-	onStack[f.Entry().ID] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.next < len(fr.b.Succs) {
-			s := fr.b.Succs[fr.next]
-			fr.next++
-			if onStack[s.ID] {
-				backFrom[fr.b.ID] = append(backFrom[fr.b.ID], s.ID)
-				continue
-			}
-			if !visited[s.ID] {
-				visited[s.ID] = true
-				onStack[s.ID] = true
-				stack = append(stack, frame{b: s})
-			}
-			continue
-		}
-		onStack[fr.b.ID] = false
-		stack = stack[:len(stack)-1]
-	}
-
-	// Reduced reachability in reverse topological order: the reduced graph
-	// is acyclic, and the reverse of the DFS postorder of the reduced graph
-	// is a topological order. Reuse the dominator tree's RPO, which was
-	// computed on the full graph; it is still a valid topological order of
-	// the reduced graph because removing retreating edges keeps every
-	// remaining edge forward or cross with respect to that DFS.
-	c.r = make([]*bitset.Set, n)
-	for i := 0; i < n; i++ {
-		c.r[i] = bitset.New(n)
-	}
-	rpo := dt.RPO()
-	for i := len(rpo) - 1; i >= 0; i-- {
-		q := rpo[i]
-		c.r[q].Add(q)
-	succ:
-		for _, s := range f.Blocks[q].Succs {
-			for _, t := range backFrom[q] {
-				if t == s.ID {
-					continue succ
-				}
-			}
-			c.r[q].UnionWith(c.r[s.ID])
-		}
-	}
-
-	for s := 0; s < n; s++ {
-		for _, t := range backFrom[s] {
-			c.backs = append(c.backs, backEdge{s, t})
-		}
-	}
-	c.reach = bitset.New(n)
-	c.accepted = bitset.New(n)
-	c.lastQ = -1
+	c := &Checker{}
+	c.Rebuild(f, dt, du)
 	return c
 }
 
-// closure computes, into c.reach, the blocks reachable from q without
-// crossing the definition block d: R(q) closed over back edges whose target
-// lies strictly inside d's dominance region. The result is cached for
-// consecutive queries with the same (q, d).
-func (c *Checker) closure(q, d int) *bitset.Set {
-	if c.lastQ == q && c.lastD == d {
-		return c.reach
+// Rebuild recomputes the checker for f in place, reusing c's arrays; a
+// batch worker rebuilds one Checker for every function it translates.
+func (c *Checker) Rebuild(f *ir.Func, dt *dom.Tree, du *ir.DefUse) {
+	n := len(f.Blocks)
+	c.f, c.dt, c.du = f, dt, du
+	rpo := dt.RPO()
+
+	// Loop targets: the targets of retreating edges, sorted by preorder so
+	// the targets inside one dominance region form a contiguous run.
+	c.tgtOf = resize(c.tgtOf, n)
+	for i := range c.tgtOf {
+		c.tgtOf[i] = -1
 	}
-	c.lastQ, c.lastD = q, d
-	c.reach.CopyFrom(c.r[q])
-	c.accepted.Clear()
-	for changed := true; changed; {
-		changed = false
-		for _, be := range c.backs {
-			if c.accepted.Has(be.tgt) || be.tgt == d || !c.reach.Has(be.src) {
-				continue
+	c.tgts = c.tgts[:0]
+	for _, q := range rpo {
+		for _, s := range f.Blocks[q].Succs {
+			if back(dt, q, s.ID) && c.tgtOf[s.ID] < 0 {
+				c.tgtOf[s.ID] = 0
+				c.tgts = append(c.tgts, int32(s.ID))
 			}
-			if !c.dt.StrictlyDominates(d, be.tgt) {
-				continue // re-entering that loop would cross d
-			}
-			c.accepted.Add(be.tgt)
-			c.reach.UnionWith(c.r[be.tgt])
-			changed = true
 		}
 	}
-	return c.reach
+	slices.SortFunc(c.tgts, func(a, b int32) int {
+		return int(dt.PreOrder(int(a)) - dt.PreOrder(int(b)))
+	})
+	c.tgtPre = resize(c.tgtPre, len(c.tgts))
+	for i, t := range c.tgts {
+		c.tgtOf[t] = int32(i)
+		c.tgtPre[i] = dt.PreOrder(int(t))
+	}
+
+	c.rw = (n + 63) / 64
+	c.tw = (len(c.tgts) + 63) / 64
+	c.r = resize(c.r, n*c.rw)
+	c.loops = resize(c.loops, n*c.tw)
+	c.reachers = resize(c.reachers, n*c.tw)
+	clear(c.r)
+	clear(c.loops)
+	clear(c.reachers)
+	c.allowed = resize(c.allowed, c.tw)
+	c.acc = resize(c.acc, c.tw)
+	c.stack = resize(c.stack, len(c.tgts))
+
+	// R and Loops in reverse topological order of the reduced graph. The
+	// reverse postorder is a topological order of it: removing the
+	// retreating edges leaves only edges that go forward in that order.
+	for i := len(rpo) - 1; i >= 0; i-- {
+		q := rpo[i]
+		rq, lq := c.row(c.r, c.rw, q), c.row(c.loops, c.tw, q)
+		rq[q/64] |= 1 << (q % 64)
+		for _, s := range f.Blocks[q].Succs {
+			if back(dt, q, s.ID) {
+				t := c.tgtOf[s.ID]
+				lq[t/64] |= 1 << (t % 64)
+				continue
+			}
+			or(rq, c.row(c.r, c.rw, s.ID))
+			or(lq, c.row(c.loops, c.tw, s.ID))
+		}
+	}
+
+	// Reachers, by transposing R restricted to the loop targets' rows.
+	for i, t := range c.tgts {
+		bit := uint64(1) << (i % 64)
+		for wi, w := range c.row(c.r, c.rw, int(t)) {
+			for ; w != 0; w &= w - 1 {
+				b := wi*64 + bits.TrailingZeros64(w)
+				c.reachers[b*c.tw+i/64] |= bit
+			}
+		}
+	}
 }
 
-// SetDefUse installs a fresh def-use index after the program's instructions
-// were rewritten (the CFG must be unchanged).
-func (c *Checker) SetDefUse(du *ir.DefUse) { c.du = du }
+// back reports whether the CFG edge q→s is a back edge.
+func back(dt *dom.Tree, q, s int) bool { return dt.RPONumber(s) <= dt.RPONumber(q) }
+
+// row returns block b's row of a table with w words per block.
+func (c *Checker) row(table []uint64, w, b int) []uint64 { return table[b*w : (b+1)*w] }
+
+// or sets dst |= src word by word.
+func or(dst, src []uint64) {
+	for i, w := range src {
+		dst[i] |= w
+	}
+}
+
+// accept computes, into c.acc, the loop targets a walk from q may re-enter
+// without crossing d, and reports whether there is any.
+func (c *Checker) accept(q, d int) bool {
+	// Targets strictly inside d's dominance region have preorder numbers in
+	// (pre(d), post(d)): the tree is numbered with one clock for both.
+	lo, _ := slices.BinarySearch(c.tgtPre, c.dt.PreOrder(d)+1)
+	hi, _ := slices.BinarySearch(c.tgtPre, c.dt.PostOrder(d))
+	if lo >= hi {
+		return false
+	}
+	allowed, acc := c.allowed, c.acc
+	for wi := range allowed {
+		allowed[wi] = span(wi, lo, hi)
+		acc[wi] = 0
+	}
+	// Each accepted target is pushed once and expanded once.
+	stack := c.stack[:0]
+	stack = c.admit(stack, q)
+	found := len(stack) > 0
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = c.admit(stack[:len(stack)-1], int(c.tgts[i]))
+	}
+	c.stack = stack
+	return found
+}
+
+// admit accepts the allowed targets of Loops(b) not yet accepted and
+// pushes their indices onto stack.
+func (c *Checker) admit(stack []int32, b int) []int32 {
+	for wi, x := range c.row(c.loops, c.tw, b) {
+		x &= c.allowed[wi] &^ c.acc[wi]
+		c.acc[wi] |= x
+		for ; x != 0; x &= x - 1 {
+			stack = append(stack, int32(wi*64+bits.TrailingZeros64(x)))
+		}
+	}
+	return stack
+}
+
+// span returns the bits of word wi that lie in the index range [lo, hi).
+func span(wi, lo, hi int) uint64 {
+	a, b := max(lo-wi*64, 0), min(hi-wi*64, 64)
+	if a >= b {
+		return 0
+	}
+	m := ^uint64(0) << a
+	if b < 64 {
+		m &= 1<<b - 1
+	}
+	return m
+}
 
 // LiveInBlock reports whether v is live at entry of block q
 // (φ results of q excluded, matching package liveness).
@@ -172,16 +243,31 @@ func (c *Checker) LiveInBlock(v ir.VarID, q int) bool {
 	if d < 0 || d == q || !c.dt.Dominates(d, q) {
 		return false
 	}
-	reach := c.closure(q, d)
-	for _, u := range c.du.Uses(v) {
-		ub := int(u.Block)
-		if ub == d {
-			// A body use inside the defining block sits before d's exit; a
-			// φ use on an edge d→succ is only live on that very edge. In
-			// both cases reaching it from elsewhere would cross d.
-			continue
+	// A body use inside the defining block sits before d's exit; a φ use on
+	// an edge d→succ is only live on that very edge. In both cases reaching
+	// it from elsewhere would cross d, so uses in d are skipped.
+	uses := c.du.Uses(v)
+	rq := c.row(c.r, c.rw, q)
+	for _, u := range uses {
+		if ub := int(u.Block); ub != d && rq[ub/64]&(1<<(ub%64)) != 0 {
+			return true
 		}
-		if reach.Has(ub) {
+	}
+	if !c.accept(q, d) {
+		return false
+	}
+	for _, u := range uses {
+		if ub := int(u.Block); ub != d && intersects(c.row(c.reachers, c.tw, ub), c.acc) {
+			return true
+		}
+	}
+	return false
+}
+
+// intersects reports whether a and b share a bit.
+func intersects(a, b []uint64) bool {
+	for i, w := range a {
+		if w&b[i] != 0 {
 			return true
 		}
 	}
@@ -213,18 +299,12 @@ func (c *Checker) LiveOutBlock(v ir.VarID, q int) bool {
 	return false
 }
 
-// R exposes the reduced reachability of block q (tests).
-func (c *Checker) R(q int) []int { return c.r[q].Elems() }
-
-// Bytes returns the footprint of the precomputed structures measured as
-// stored: one reachability bit set per block plus the two query scratch
-// sets and the back-edge list.
+// Bytes returns the footprint of the stored structures: R, Loops and
+// Reachers per block, the loop-target list with its preorder numbers, and
+// the query scratch.
 func (c *Checker) Bytes() int {
-	total := c.reach.Bytes() + c.accepted.Bytes() + 16*len(c.backs)
-	for i := range c.r {
-		total += c.r[i].Bytes()
-	}
-	return total
+	words := len(c.r) + len(c.loops) + len(c.reachers) + len(c.allowed) + len(c.acc)
+	return 8*words + 4*3*len(c.tgts) // tgts, tgtPre and the query stack
 }
 
 // EvaluatedBytes is the paper's perfect-memory formula for the checking

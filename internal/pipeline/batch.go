@@ -108,18 +108,29 @@ func RunBatchFunc(ctx context.Context, funcs []*ir.Func, p *Pipeline, workers in
 // state: sc is the worker's private core.Scratch for the whole batch, and
 // its liveness scratch additionally serves every liveness (re)computation
 // the function's analysis cache performs — no global sync.Pool traffic,
-// and with it no cross-core contention, on the per-function path. Both
-// attachments are detached before the context escapes to the caller, so
+// and with it no cross-core contention, on the per-function path. Every
+// attachment is detached before the context escapes to the caller, so
 // post-batch use of a Context can never race a scratch now owned by
-// someone else.
+// someone else, nor read analyses the worker rebuilt for a later function.
 func runOne(ctx context.Context, p *Pipeline, funcs []*ir.Func, res *BatchResult, i int, sc *core.Scratch) {
 	pctx := NewContext(funcs[i])
 	pctx.Cache.SetLivenessScratch(sc.LivenessScratch())
 	pctx.Scratch = sc
 	res.Contexts[i] = pctx
 	res.Errs[i] = runSafe(ctx, p, pctx)
-	pctx.Scratch = nil
+	detach(pctx)
 	pctx.Cache.SetLivenessScratch(nil)
+}
+
+// detach ends pctx's use of any scratch before the context escapes. A
+// translation that failed before its rewrite phase still holds its scratch
+// and the analyses built in the scratch's storage; releasing it drops them
+// from the cache and returns a pool-drawn scratch to the pool.
+func detach(pctx *Context) {
+	if pctx.Translation != nil {
+		pctx.Translation.Release()
+	}
+	pctx.Scratch = nil
 }
 
 // runBatchSeq is the single-worker fast path: input order, no goroutines,
@@ -252,7 +263,7 @@ func RunBatchReference(ctx context.Context, funcs []*ir.Func, p *Pipeline, worke
 			res.Contexts[i] = NewContext(funcs[i])
 			res.Contexts[i].Scratch = sc
 			res.Errs[i] = runSafe(ctx, p, res.Contexts[i])
-			res.Contexts[i].Scratch = nil
+			detach(res.Contexts[i])
 		}
 		core.PutScratch(sc)
 	} else {
@@ -268,7 +279,7 @@ func RunBatchReference(ctx context.Context, funcs []*ir.Func, p *Pipeline, worke
 					res.Contexts[i] = NewContext(funcs[i])
 					res.Contexts[i].Scratch = sc
 					res.Errs[i] = runSafe(ctx, p, res.Contexts[i])
-					res.Contexts[i].Scratch = nil
+					detach(res.Contexts[i])
 				}
 			}()
 		}

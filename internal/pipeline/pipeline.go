@@ -159,10 +159,14 @@ func (p *Pipeline) Passes() []Pass { return p.passes }
 // Run pushes f through the pipeline and returns the final context. ctx
 // cancellation is observed between passes: a canceled run returns the
 // context's error and leaves the function in whatever state the completed
-// passes produced.
+// passes produced, with a translation the failure interrupted released.
 func (p *Pipeline) Run(ctx context.Context, f *ir.Func) (*Context, error) {
 	pctx := NewContext(f)
-	return pctx, p.RunContext(ctx, pctx)
+	err := p.RunContext(ctx, pctx)
+	if err != nil {
+		detach(pctx)
+	}
+	return pctx, err
 }
 
 // RunContext pushes pctx.Func through the pipeline on an existing

@@ -10,8 +10,10 @@ import (
 // fuzzSeeds are the in-source seed corpus shared by both fuzz targets
 // (testdata/fuzz/ holds the same shapes as committed corpus files, plus
 // whatever the fuzzer later minimizes). They cover the paper's interesting
-// structures: straight line, diamond with φ, the lost-copy loop, and the
-// swap problem (cyclic parallel copy).
+// structures: straight line, diamond with φ, the lost-copy loop, the swap
+// problem (cyclic parallel copy), and an irreducible loop entered at two
+// blocks, where the fast liveness check's back-edge targets do not
+// dominate their sources.
 var fuzzSeeds = []string{
 	"func f {\nentry:\n  a = param 0\n  b = const 2\n  c = add a b\n  print c\n  ret c\n}\n",
 	`
@@ -64,6 +66,30 @@ loop:
   br c loop exit
 exit:
   ret s
+}
+`,
+	`
+func twoentry {
+entry:
+  n = param 0
+  z = const 0
+  br n a b
+a:
+  i = phi entry:z b:s
+  one = const 1
+  j = add i one
+  lim = const 12
+  c = cmplt j lim
+  br c b exit
+b:
+  k = phi entry:n a:j
+  two = const 2
+  s = add k two
+  print s
+  jump a
+exit:
+  r = add j n
+  ret r
 }
 `,
 	"func g {\nentry:\n  x = const 7\n  ret x\n}\nfunc h {\nentry:\n  y = param 0\n  print y\n  ret y\n}\n",
