@@ -10,7 +10,10 @@
 // φ-function arguments are positionally matched with block predecessors.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // VarID identifies a variable within a Func. NoVar marks an absent variable.
 type VarID int32
@@ -353,14 +356,29 @@ func (f *Func) VarName(v VarID) string {
 	if v == NoVar {
 		return "_"
 	}
-	vr := f.Vars[v]
-	if vr.Name != "" {
-		return vr.Name
+	if name := f.Vars[v].Name; name != "" {
+		return name
 	}
-	if vr.base != NoVar {
-		return f.VarName(vr.base) + "'"
+	return string(f.appendVarName(nil, v))
+}
+
+// appendVarName appends VarName(v) to dst; v must not be NoVar.
+func (f *Func) appendVarName(dst []byte, v VarID) []byte {
+	primes := 0
+	for f.Vars[v].Name == "" && f.Vars[v].base != NoVar {
+		v = f.Vars[v].base
+		primes++
 	}
-	return fmt.Sprintf("v%d", v)
+	if name := f.Vars[v].Name; name != "" {
+		dst = append(dst, name...)
+	} else {
+		dst = append(dst, 'v')
+		dst = strconv.AppendInt(dst, int64(v), 10)
+	}
+	for ; primes > 0; primes-- {
+		dst = append(dst, '\'')
+	}
+	return dst
 }
 
 // NewBlock appends a fresh block with frequency 1, reusing a recycled

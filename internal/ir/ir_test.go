@@ -67,17 +67,80 @@ func TestParseStructure(t *testing.T) {
 	}
 }
 
+// parseErrorCases holds one row for every error Parse and ParseAll can
+// return, with its exact message. all selects ParseAll.
+var parseErrorCases = []struct {
+	name string
+	all  bool
+	src  string
+	want string
+}{
+	{"no function", false, "// only a comment\n\n", "no function found"},
+	{"no blocks", false, "func f {\n}", `function "f" has no blocks`},
+	{"undefined targets", false, "func f {\nentry:\n  c = param 0\n  br c zz aa\n}",
+		"undefined block target(s): aa, zz"},
+	{"second header", false, "func f {\nentry:\n  ret\n}\nfunc g {\n",
+		`line 5: second "func" inside function body (use ParseAll for streams)`},
+	{"label before header", false, "entry:\nfunc f {\n", "line 1: label before func header"},
+	{"bad annotation", false, "func f {\nentry (frq 2):\n  ret\n}", `line 2: bad block annotation "frq 2"`},
+	{"bad freq", false, "func f {\nentry (freq x):\n  ret\n}",
+		`line 2: bad freq: strconv.ParseFloat: parsing "x": invalid syntax`},
+	{"negative freq", false, "func f {\nentry (freq -1):\n  ret\n}", "line 2: freq -1 out of range"},
+	{"NaN freq", false, "func f {\nentry (freq NaN):\n  ret\n}", "line 2: freq NaN out of range"},
+	{"empty label", false, "func f {\n (freq 2):\n  ret\n}", "line 2: empty block label"},
+	{"duplicate label", false, "func f {\nentry:\n  jump entry\nentry:\n  ret\n}", `line 4: duplicate label "entry"`},
+	{"instruction outside block", false, "func f {\n  x = const 1\n}",
+		`line 2: instruction outside block: "x = const 1"`},
+	{"empty instruction", false, "func f {\nentry:\n  x =\n}", "line 3: empty instruction"},
+	{"unknown op", false, "func f {\nentry:\n  x = bogus y\n}", `line 3: unknown op "bogus"`},
+	{"missing destination", false, "func f {\nentry:\n  const 1\n}",
+		`line 3: op "const" needs a destination (dst = const ...)`},
+	{"arity", false, "func f {\nentry:\n  x = add y\n}", `line 3: op "add" wants 2 operand(s), got 1`},
+	{"nop arity", false, "func f {\nentry:\n  nop x\n}", `line 3: op "nop" wants 0 operand(s), got 1`},
+	{"ret arity", false, "func f {\nentry:\n  ret x y\n}", `line 3: op "ret" wants at most 1 operand, got 2`},
+	{"bad const", false, "func f {\nentry:\n  x = const 0x10\n}",
+		`line 3: strconv.ParseInt: parsing "0x10": invalid syntax`},
+	{"const out of range", false, "func f {\nentry:\n  x = const 99999999999999999999\n}",
+		`line 3: strconv.ParseInt: parsing "99999999999999999999": value out of range`},
+	{"bad param", false, "func f {\nentry:\n  x = param one\n}",
+		`line 3: strconv.Atoi: parsing "one": invalid syntax`},
+	{"param out of range", false, "func f {\nentry:\n  x = param 65536\n}",
+		"line 3: param index 65536 out of range [0, 65535]"},
+	{"bad parcopy operand", false, "func f {\nentry:\n  parcopy xy\n}", `line 3: bad parcopy operand "xy"`},
+	{"bad phi operand", false, "func f {\nentry:\n  x = phi y\n  ret\n}", `line 3: bad phi operand "y"`},
+	{"unknown phi predecessor", false, "func f {\nentry:\n  x = phi nosuch:y\n}",
+		`line 3: unknown phi predecessor "nosuch"`},
+	{"phi argument from a non-predecessor", false,
+		"func f {\nentry:\n  jump b\nb:\n  x = phi b:y\n  ret\n}", "line 5: block b is not a predecessor of b"},
+	{"phi missing argument", false, "func f {\nentry:\n  jump b\nb:\n  x = phi\n  ret\n}",
+		"line 5: phi in b missing argument for predecessor entry"},
+	{"no functions in stream", true, "\n// nothing\n", "ir: no functions found"},
+	{"error in a later function", true, "func f {\nentry:\n  ret\n}\nfunc g {\nentry:\n  jump gone\n}",
+		"undefined block target(s): gone"},
+	{"line numbers restart per function", true, "func f {\nentry:\n  ret\n}\nfunc g {\nentry:\n  x = bogus\n}",
+		`line 3: unknown op "bogus"`},
+	// Before the first header, a stream may hold only blank and comment
+	// lines; anything else is rejected rather than dropped.
+	{"mistyped first header", true, "fun f {\nentry:\n  ret\n}\nfunc g {\nentry:\n  ret\n}",
+		`line 1: instruction outside block: "fun f {"`},
+	{"instruction before first header", true, "// lead\n  x = const 1\nfunc g {\nentry:\n  ret\n}",
+		`line 2: instruction outside block: "x = const 1"`},
+	{"brace before header", false, "}\nfunc f {\nentry:\n  ret\n}", `line 1: "}" before func header`},
+}
+
 func TestParseErrors(t *testing.T) {
-	cases := []string{
-		"func f {\nentry:\n  x = bogus y\n}",
-		"func f {\n  x = const 1\n}",              // instruction outside block
-		"func f {\nentry:\n  x = phi nosuch:y\n}", // unknown pred
-		"func f {\nentry:\n  parcopy xy\n}",       // malformed parcopy operand
-	}
-	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("no error for %q", src)
-		}
+	for _, tc := range parseErrorCases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			if tc.all {
+				_, err = ParseAll(tc.src)
+			} else {
+				_, err = Parse(tc.src)
+			}
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("error = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 

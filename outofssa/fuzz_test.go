@@ -2,7 +2,9 @@ package outofssa_test
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"unicode"
 
 	"repro/outofssa"
 )
@@ -95,7 +97,77 @@ exit:
 	"func g {\nentry:\n  x = const 7\n  ret x\n}\nfunc h {\nentry:\n  y = param 0\n  print y\n  ret y\n}\n",
 	"not ir at all",
 	"func broken {\nentry:\n  x = phi nowhere:y\n}\n",
+	cycleTempSrc,
+	primedCopySrc,
+	splitBlockSrc,
 }
+
+// Inputs that already use a name the translation mints: the
+// sequentializer's cycle temporary "swap", the primed copy z' of the φ
+// result z, and the block loop_loop that splitting a brdec self-loop
+// creates. Their printed translations must still re-parse to the same
+// program.
+const (
+	cycleTempSrc = `
+func cycletemp {
+entry:
+  a = param 0
+  b = param 1
+  swap = const 3
+  zero = const 0
+  jump loop
+loop (freq 10):
+  a2 = phi entry:a loop:b2
+  b2 = phi entry:b loop:a2
+  p = phi entry:zero loop:p2
+  one = const 1
+  p2 = add p one
+  c = cmplt p2 swap
+  print a2
+  print b2
+  br c loop exit
+exit:
+  r = add a2 swap
+  ret r
+}
+`
+	primedCopySrc = `
+func primed {
+entry:
+  x = param 0
+  z' = const 3
+  jump loop
+loop (freq 10):
+  z = phi entry:x loop:y
+  one = const 1
+  y = add z one
+  ten = const 10
+  c = cmplt y ten
+  br c loop exit
+exit:
+  r = add z z'
+  print z
+  ret r
+}
+`
+	splitBlockSrc = `
+func splitblock {
+entry:
+  n = param 0
+  x0 = const 1
+  jump loop
+loop (freq 10):
+  x = phi entry:x0 loop:x2
+  i = phi entry:n loop:i2
+  two = const 2
+  x2 = mul x two
+  i2 = brdec i loop loop_loop
+loop_loop:
+  print x
+  ret x2
+}
+`
+)
 
 // FuzzParse asserts the parser never panics, and that anything it accepts
 // survives a print/re-parse round trip (String is Parse's inverse).
@@ -119,7 +191,10 @@ func FuzzParse(f *testing.F) {
 // or failure) under the reference machinery (linear scans, per-query
 // recomputation, no pooled state) and the optimized default (fast
 // liveness, linear class test), and both outputs must preserve the
-// pristine function's observable behaviour under the interpreter.
+// pristine function's observable behaviour under the interpreter — as
+// translated, and as printed and parsed back, which is what a client of
+// ssad receives. The printed check needs names the grammar can carry
+// (wireNames).
 func FuzzTranslate(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -144,6 +219,7 @@ func FuzzTranslate(f *testing.F) {
 		if fn.NumParams > 8 {
 			return // keep the interpreter's parameter vectors small
 		}
+		printed := wireNames(fn)
 		pristine := outofssa.Clone(fn)
 		refIn := outofssa.Clone(fn)
 
@@ -157,6 +233,16 @@ func FuzzTranslate(f *testing.F) {
 			return // both reject (e.g. not strict SSA): consistent, done
 		}
 
+		outs := []*outofssa.Func{refRes.Func, optRes.Func}
+		if printed {
+			for _, out := range outs[:2] {
+				g, err := outofssa.Parse(out.String())
+				if err != nil {
+					t.Fatalf("printed output does not parse: %v\ninput:\n%s\noutput:\n%s", err, pristine, out)
+				}
+				outs = append(outs, g)
+			}
+		}
 		for trial := int64(0); trial < 3; trial++ {
 			params := make([]int64, pristine.NumParams)
 			for i := range params {
@@ -166,22 +252,46 @@ func FuzzTranslate(f *testing.F) {
 			if err != nil {
 				continue // original run diverges or traps: not an oracle case
 			}
-			a, err := outofssa.Interpret(refRes.Func, params, 20000)
-			if err != nil {
-				t.Fatalf("reference output fails to execute for %v: %v", params, err)
-			}
-			b, err := outofssa.Interpret(optRes.Func, params, 20000)
-			if err != nil {
-				t.Fatalf("optimized output fails to execute for %v: %v", params, err)
-			}
-			if !outofssa.Equivalent(want, a) {
-				t.Fatalf("reference translation changed behaviour for %v\ninput:\n%s\noutput:\n%s",
-					params, pristine, refRes.Func)
-			}
-			if !outofssa.Equivalent(want, b) {
-				t.Fatalf("optimized translation changed behaviour for %v\ninput:\n%s\noutput:\n%s",
-					params, pristine, optRes.Func)
+			for i, out := range outs {
+				what := [...]string{"reference", "optimized", "printed reference", "printed optimized"}[i]
+				got, err := outofssa.Interpret(out, params, 20000)
+				if err != nil {
+					t.Fatalf("%s output fails to execute for %v: %v", what, params, err)
+				}
+				if !outofssa.Equivalent(want, got) {
+					t.Fatalf("%s translation changed behaviour for %v\ninput:\n%s\noutput:\n%s",
+						what, params, pristine, out)
+				}
 			}
 		}
 	})
+}
+
+// wireNames reports whether every variable and block name of f uses only
+// letters, digits and _ . ' — names the text grammar round-trips. A name
+// holding "=" or ":", or ending in ":", cannot be printed back at all, nor
+// can a variable called func (its definition reads as a header).
+func wireNames(f *outofssa.Func) bool {
+	ok := func(name string) bool {
+		if name == "func" {
+			return false
+		}
+		for _, r := range name {
+			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && !strings.ContainsRune("_.'", r) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, v := range f.Vars {
+		if !ok(v.Name) {
+			return false
+		}
+	}
+	for _, b := range f.Blocks {
+		if !ok(b.Name) {
+			return false
+		}
+	}
+	return true
 }

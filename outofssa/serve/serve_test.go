@@ -297,3 +297,45 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("idle gauges wrong: in_flight=%d queued=%d draining=%v", st.InFlight, st.Queued, st.Draining)
 	}
 }
+
+// TestBatchRejectsTextBeforeFirstHeader: a stream with anything but blank
+// or comment lines before its first header is refused whole, instead of
+// being translated without its first function.
+func TestBatchRejectsTextBeforeFirstHeader(t *testing.T) {
+	ts, cl := startServer(t, serve.Config{})
+	good := "func g {\nentry:\n  ret\n}\n"
+	for _, src := range []string{"fun f {\nentry:\n  ret\n}\n" + good, "// lead\n  x = const 1\n" + good} {
+		_, err := cl.Batch(context.Background(), serve.TranslateRequest{Source: src},
+			func(serve.BatchItem) error { t.Errorf("item streamed for %q", src); return nil })
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.StatusCode != http.StatusBadRequest || !strings.Contains(ae.Message, "instruction outside block") {
+			t.Errorf("%q: want a 400 naming the stray line, got %v", src, err)
+		}
+	}
+
+	// Error and translate responses are compact JSON: one line each.
+	resp, err := http.Post(ts.URL+"/v1/batch", "text/plain", strings.NewReader("fun f {\n"+good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"error":"line 1: instruction outside block: \"fun f {\""}` + "\n"; string(body) != want {
+		t.Errorf("error body %q, want %q", body, want)
+	}
+	resp, err = http.Post(ts.URL+"/v1/translate", "text/plain", strings.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || strings.Count(string(body), "\n") != 1 || strings.Contains(string(body), "\n  ") {
+		t.Errorf("translate response is not one compact line (status %d):\n%s", resp.StatusCode, body)
+	}
+}
