@@ -69,16 +69,18 @@ CHAOS_DURATION ?= 2s
 chaos:
 	SSAD_CHAOS_DURATION=$(CHAOS_DURATION) $(GO) test -race -count=1 -run 'TestChaos$$' -v ./outofssa/serve
 
-# Fuzz the three targets briefly: the parser (never panic, print/re-parse),
+# Fuzz the four targets briefly: the parser (never panic, print/re-parse),
 # the translate differential oracle (reference vs optimized machinery,
-# interpreter-checked, printed outputs re-parsed), and the parser and
-# printer against their reference implementations. The committed seed
-# corpus lives in outofssa/testdata/fuzz/.
+# interpreter-checked, printed outputs re-parsed), the parser and printer
+# against their reference implementations, and the binary IR decoder of
+# memo snapshots (never panic, accepted input verifies and re-encodes).
+# The committed seed corpus lives in outofssa/testdata/fuzz/.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./outofssa
 	$(GO) test -run '^$$' -fuzz 'FuzzTranslate$$' -fuzztime $(FUZZTIME) ./outofssa
 	$(GO) test -run '^$$' -fuzz 'FuzzParseMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/ir
+	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/ir
 
 figures:
 	$(GO) run ./cmd/ssabench -fig all

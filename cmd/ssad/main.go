@@ -161,9 +161,9 @@ func run(addr, admin string, cfg serve.Config, drain time.Duration, memoFile str
 	if adminSrv != nil {
 		adminSrv.Close()
 	}
-	// Persist the memo after drain (the snapshot holds the memo lock, so it
-	// must not race live traffic). Even an aborted drain snapshots: the
-	// memo only holds completed translations.
+	// Persist the memo after drain, so the snapshot holds every
+	// translation the last requests stored. Even an aborted drain
+	// snapshots: the memo only holds completed translations.
 	if memoFile != "" && s.Memo() != nil {
 		saveMemo(s, memoFile)
 	}
@@ -175,7 +175,9 @@ func run(addr, admin string, cfg serve.Config, drain time.Duration, memoFile str
 }
 
 // loadMemo warms the server memo from path. A missing file is the normal
-// first boot; anything else damaged is skipped line-by-line by the loader.
+// first boot; a file of another format or version (such as a version-1
+// snapshot) starts cold and is overwritten at drain; damaged records are
+// skipped one by one by the loader.
 func loadMemo(s *serve.Server, path string) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -189,15 +191,15 @@ func loadMemo(s *serve.Server, path string) {
 	defer f.Close()
 	loaded, skipped, err := s.Memo().Load(f)
 	if err != nil {
-		log.Printf("memo load %s: %v (starting cold)", path, err)
+		log.Printf("%s: %v (%d entries restored, %d damaged records skipped)", path, err, loaded, skipped)
 		return
 	}
-	log.Printf("memo restored from %s: %d entries (%d damaged lines skipped)", path, loaded, skipped)
+	log.Printf("memo restored from %s: %d entries (%d damaged records skipped)", path, loaded, skipped)
 }
 
-// saveMemo snapshots the memo atomically: write a temp file in the target
-// directory, then rename over path, so a crash mid-write never tears the
-// previous snapshot.
+// saveMemo snapshots the memo atomically: write and sync a temp file in
+// the target directory, then rename over path, so a crash or power loss
+// mid-write never tears the previous snapshot.
 func saveMemo(s *serve.Server, path string) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -206,6 +208,11 @@ func saveMemo(s *serve.Server, path string) {
 	}
 	defer os.Remove(tmp.Name())
 	if err := s.Memo().Snapshot(tmp); err != nil {
+		tmp.Close()
+		log.Printf("memo snapshot: %v", err)
+		return
+	}
+	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		log.Printf("memo snapshot: %v", err)
 		return

@@ -27,14 +27,22 @@ func wireFunc(tb testing.TB) (src string, out *ir.Func) {
 	return src, res.Func
 }
 
-// TestWireAllocs bounds the allocations of parsing a request and printing
-// its translation, with about 2x headroom over the measured 64 and 13; the
-// reference parser and printer take 489 and 347.
+// TestWireAllocs bounds the allocations of parsing a request, printing its
+// translation and decoding the request's function from its binary
+// encoding, with about 2x headroom over the measured 64, 13 and 12; the
+// reference parser and printer take 489 and 347, the version-1 JSON
+// decoder 678.
 func TestWireAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime adds its own allocations")
 	}
 	src, out := wireFunc(t)
+	in := ir.MustParse(src)
+	bin := ir.AppendBinary(nil, in)
+	js, err := ir.EncodeJSON(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name      string
 		bound     float64
@@ -42,6 +50,7 @@ func TestWireAllocs(t *testing.T) {
 	}{
 		{"ParseAll", 130, func() { ir.ParseAll(src) }, func() { ir.RefParseAll(src) }},
 		{"String", 26, func() { _ = out.String() }, func() { _ = ir.RefString(out) }},
+		{"DecodeBinary", 24, func() { ir.DecodeBinary(bin) }, func() { ir.DecodeJSON(js) }},
 	} {
 		if got := testing.AllocsPerRun(20, c.prod); got > c.bound {
 			t.Errorf("%s: %.0f allocations, bound %.0f", c.name, got, c.bound)

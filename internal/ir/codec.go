@@ -1,219 +1,360 @@
 package ir
 
 import (
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
 
-// JSON codec for Func, built for memo persistence. The textual form
-// (Func.String / Parse) is NOT a faithful round trip for that purpose:
+// Binary codec for Func, built for memo persistence. The textual form
+// (Func.String / Parse) is not a faithful round trip for that purpose:
 // Parse assigns VarIDs by first textual appearance, which can permute the
 // variable universe, and Materialize's contract depends on the exact Vars
-// prefix order. This codec preserves the universe verbatim — variable
-// order, derived bases, register pins — and records Preds/Succs as
-// explicit index lists so predecessor order (which fixes φ-argument
-// matching) survives.
+// prefix order. This codec keeps the universe verbatim — variable order,
+// derivation bases, register pins — and records Preds and Succs as explicit
+// index lists, so predecessor order (which fixes φ-argument matching)
+// survives.
+//
+// The layout, every integer a uvarint unless noted:
+//
+//	func  = len(strs) strs name numParams
+//	        nVars var*  nBlocks nEdges nInstrs nOperands block*
+//	var   = name reg base            base: index+1, 0 for none
+//	block = name freq                freq: float64 bits, 8 bytes little-endian
+//	        nPreds pred*  nSuccs succ*  nPhis instr*  nBody instr*
+//	instr = op nDefs def*  nUses use*  aux
+//	                                 op: one byte; aux: zig-zag varint
+//
+// A name is written as its byte length; the bytes themselves follow one
+// another in strs, the function's string table, in the order the names
+// appear. The decoder copies strs once and cuts every name from that copy,
+// so a decoded function holds no reference into its input. nEdges, nInstrs
+// and nOperands total the lengths of the blocks' edge lists, instruction
+// lists and the instructions' operand lists. The decoder sizes the
+// function's arenas and carves those lists from one array each, so a
+// function costs a fixed number of allocations whatever its size.
 
-type funcJSON struct {
-	Name      string      `json:"name"`
-	NumParams int         `json:"num_params"`
-	Vars      []varJSON   `json:"vars"`
-	Blocks    []blockJSON `json:"blocks"`
-}
-
-type varJSON struct {
-	Name string `json:"name,omitempty"`
-	Reg  string `json:"reg,omitempty"`
-	// Base is the index of the variable this one derives from, or nil.
-	Base *int `json:"base,omitempty"`
-}
-
-type blockJSON struct {
-	Name   string      `json:"name"`
-	Freq   float64     `json:"freq"`
-	Preds  []int       `json:"preds"`
-	Succs  []int       `json:"succs"`
-	Phis   []instrJSON `json:"phis,omitempty"`
-	Instrs []instrJSON `json:"instrs"`
-}
-
-type instrJSON struct {
-	Op   uint8 `json:"op"`
-	Defs []int `json:"defs,omitempty"`
-	Uses []int `json:"uses,omitempty"`
-	Aux  int64 `json:"aux,omitempty"`
-}
-
-// EncodeJSON renders f as a single JSON object.
-func EncodeJSON(f *Func) ([]byte, error) {
-	out := funcJSON{
-		Name:      f.Name,
-		NumParams: f.NumParams,
-		Vars:      make([]varJSON, len(f.Vars)),
-		Blocks:    make([]blockJSON, len(f.Blocks)),
+// AppendBinary appends the binary encoding of f to dst.
+func AppendBinary(dst []byte, f *Func) []byte {
+	strs, edges, instrs, operands := len(f.Name), 0, 0, 0
+	for _, v := range f.Vars {
+		strs += len(v.Name) + len(v.Reg)
 	}
-	for i, v := range f.Vars {
-		vj := varJSON{Name: v.Name, Reg: v.Reg}
-		if v.base != NoVar {
-			b := int(v.base)
-			vj.Base = &b
-		}
-		out.Vars[i] = vj
-	}
-	for i, b := range f.Blocks {
-		bj := blockJSON{
-			Name:  b.Name,
-			Freq:  b.Freq,
-			Preds: blockIndices(b.Preds),
-			Succs: blockIndices(b.Succs),
-		}
+	for _, b := range f.Blocks {
+		strs += len(b.Name)
+		edges += len(b.Preds) + len(b.Succs)
+		instrs += len(b.Phis) + len(b.Instrs)
 		for _, in := range b.Phis {
-			bj.Phis = append(bj.Phis, encodeInstr(in))
+			operands += len(in.Defs) + len(in.Uses)
 		}
 		for _, in := range b.Instrs {
-			bj.Instrs = append(bj.Instrs, encodeInstr(in))
+			operands += len(in.Defs) + len(in.Uses)
 		}
-		out.Blocks[i] = bj
 	}
-	return json.Marshal(out)
+	dst = binary.AppendUvarint(dst, uint64(strs))
+	dst = append(dst, f.Name...)
+	for _, v := range f.Vars {
+		dst = append(append(dst, v.Name...), v.Reg...)
+	}
+	for _, b := range f.Blocks {
+		dst = append(dst, b.Name...)
+	}
+
+	dst = binary.AppendUvarint(dst, uint64(len(f.Name)))
+	dst = binary.AppendUvarint(dst, uint64(f.NumParams))
+	dst = binary.AppendUvarint(dst, uint64(len(f.Vars)))
+	for _, v := range f.Vars {
+		dst = binary.AppendUvarint(dst, uint64(len(v.Name)))
+		dst = binary.AppendUvarint(dst, uint64(len(v.Reg)))
+		dst = binary.AppendUvarint(dst, uint64(v.base+1))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(f.Blocks)))
+	dst = binary.AppendUvarint(dst, uint64(edges))
+	dst = binary.AppendUvarint(dst, uint64(instrs))
+	dst = binary.AppendUvarint(dst, uint64(operands))
+	for _, b := range f.Blocks {
+		dst = binary.AppendUvarint(dst, uint64(len(b.Name)))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.Freq))
+		dst = appendBlockList(dst, b.Preds)
+		dst = appendBlockList(dst, b.Succs)
+		dst = appendInstrList(dst, b.Phis)
+		dst = appendInstrList(dst, b.Instrs)
+	}
+	return dst
 }
 
-func blockIndices(bs []*Block) []int {
-	out := make([]int, len(bs))
-	for i, b := range bs {
-		out[i] = b.ID
+func appendBlockList(dst []byte, bs []*Block) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(bs)))
+	for _, b := range bs {
+		dst = binary.AppendUvarint(dst, uint64(b.ID))
 	}
-	return out
+	return dst
 }
 
-func encodeInstr(in *Instr) instrJSON {
-	return instrJSON{
-		Op:   uint8(in.Op),
-		Defs: varIndices(in.Defs),
-		Uses: varIndices(in.Uses),
-		Aux:  in.Aux,
+func appendInstrList(dst []byte, ins []*Instr) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ins)))
+	for _, in := range ins {
+		dst = append(dst, byte(in.Op))
+		dst = appendVarList(dst, in.Defs)
+		dst = appendVarList(dst, in.Uses)
+		dst = binary.AppendVarint(dst, in.Aux)
 	}
+	return dst
 }
 
-func varIndices(vs []VarID) []int {
-	if len(vs) == 0 {
-		return nil
+func appendVarList(dst []byte, vs []VarID) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(vs)))
+	for _, v := range vs {
+		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		out[i] = int(v)
-	}
-	return out
+	return dst
 }
 
-// DecodeJSON rebuilds a Func from EncodeJSON output. Every index is bounds
-// checked and the result must pass Verify, so a corrupted or hand-edited
-// snapshot entry is rejected rather than smuggled into the process.
-func DecodeJSON(data []byte) (*Func, error) {
-	var in funcJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("ir: decode: %w", err)
+// The fewest bytes a var, a block and an instruction can take. The decoder
+// rejects any count the remaining input cannot hold, so no count or length
+// makes it allocate more than a fixed multiple of the bytes present.
+const (
+	minVarBytes   = 3
+	minBlockBytes = 1 + 8 + 4
+	minInstrBytes = 4
+)
+
+// DecodeBinary rebuilds a Func from AppendBinary output, which must span
+// all of data. Every count is bounded by the bytes left, every index is
+// bounds checked and the result must pass Verify, so a corrupted or
+// hand-edited snapshot entry is rejected rather than smuggled into the
+// process. The function's records come from its own arenas, and it keeps
+// no reference to data.
+func DecodeBinary(data []byte) (*Func, error) {
+	d := decoder{buf: data}
+	f := d.function()
+	if d.err == nil && (len(d.buf) > 0 || len(d.strs) > 0) {
+		d.err = fmt.Errorf("%d trailing bytes, %d unused string bytes", len(d.buf), len(d.strs))
 	}
-	if in.NumParams < 0 || in.NumParams > maxParamIndex+1 {
-		return nil, fmt.Errorf("ir: decode %q: num_params %d out of range", in.Name, in.NumParams)
+	if d.err == nil {
+		d.err = Verify(f)
 	}
-	if len(in.Blocks) == 0 {
-		return nil, fmt.Errorf("ir: decode %q: no blocks", in.Name)
-	}
-	f := NewFunc(in.Name)
-	f.NumParams = in.NumParams
-	for i, vj := range in.Vars {
-		id := f.NewVar(vj.Name)
-		if vj.Reg != "" {
-			f.Vars[id].Reg = vj.Reg
-		}
-		if vj.Base != nil {
-			// Bases must point strictly backwards: VarName recurses
-			// through base links, and a forward or self link would cycle.
-			if *vj.Base < 0 || *vj.Base >= i {
-				return nil, fmt.Errorf("ir: decode %q: var %d has bad base %d", in.Name, i, *vj.Base)
-			}
-			f.Vars[id].base = VarID(*vj.Base)
-		}
-	}
-	nb, nv := len(in.Blocks), len(in.Vars)
-	for _, bj := range in.Blocks {
-		b := f.NewBlock(bj.Name)
-		if math.IsNaN(bj.Freq) || math.IsInf(bj.Freq, 0) || bj.Freq < 0 {
-			return nil, fmt.Errorf("ir: decode %q: block %s freq %v out of range", in.Name, b.Name, bj.Freq)
-		}
-		b.Freq = bj.Freq
-	}
-	for i, bj := range in.Blocks {
-		b := f.Blocks[i]
-		var err error
-		if b.Preds, err = resolveBlocks(f, bj.Preds, nb); err != nil {
-			return nil, fmt.Errorf("ir: decode %q: block %s preds: %w", in.Name, b.Name, err)
-		}
-		if b.Succs, err = resolveBlocks(f, bj.Succs, nb); err != nil {
-			return nil, fmt.Errorf("ir: decode %q: block %s succs: %w", in.Name, b.Name, err)
-		}
-		for _, ij := range bj.Phis {
-			instr, err := decodeInstr(ij, nv)
-			if err != nil {
-				return nil, fmt.Errorf("ir: decode %q: block %s: %w", in.Name, b.Name, err)
-			}
-			b.Phis = append(b.Phis, instr)
-		}
-		for _, ij := range bj.Instrs {
-			instr, err := decodeInstr(ij, nv)
-			if err != nil {
-				return nil, fmt.Errorf("ir: decode %q: block %s: %w", in.Name, b.Name, err)
-			}
-			b.Instrs = append(b.Instrs, instr)
-		}
-	}
-	if err := Verify(f); err != nil {
-		return nil, fmt.Errorf("ir: decode %q: %w", in.Name, err)
+	if d.err != nil {
+		return nil, fmt.Errorf("ir: decode %q: %w", f.Name, d.err)
 	}
 	return f, nil
 }
 
-func resolveBlocks(f *Func, idx []int, nb int) ([]*Block, error) {
-	if len(idx) == 0 {
-		return nil, nil
-	}
-	out := make([]*Block, len(idx))
-	for i, id := range idx {
-		if id < 0 || id >= nb {
-			return nil, fmt.Errorf("block index %d out of range [0, %d)", id, nb)
-		}
-		out[i] = f.Blocks[id]
-	}
-	return out, nil
+// decoder reads one encoded function. The first error sticks: later reads
+// return zero values, and DecodeBinary reports the first.
+type decoder struct {
+	buf  []byte
+	strs string // the rest of the string table
+	// The rest of the function's edge, instruction and operand arrays.
+	edges  []*Block
+	instrs []*Instr
+	ops    []VarID
+	err    error
 }
 
-func decodeInstr(ij instrJSON, nv int) (*Instr, error) {
-	if Op(ij.Op) > OpRet {
-		return nil, fmt.Errorf("bad opcode %d", ij.Op)
+var (
+	errTruncated = errors.New("truncated")
+	errVarint    = errors.New("truncated or overlong varint")
+)
+
+func (d *decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	in := &Instr{Op: Op(ij.Op), Aux: ij.Aux}
-	var err error
-	if in.Defs, err = resolveVars(ij.Defs, nv); err != nil {
-		return nil, err
-	}
-	if in.Uses, err = resolveVars(ij.Uses, nv); err != nil {
-		return nil, err
-	}
-	return in, nil
 }
 
-func resolveVars(idx []int, nv int) ([]VarID, error) {
-	if len(idx) == 0 {
-		return nil, nil
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
 	}
-	out := make([]VarID, len(idx))
-	for i, id := range idx {
-		if id < 0 || id >= nv {
-			return nil, fmt.Errorf("var index %d out of range [0, %d)", id, nv)
+	v, n := binary.Uvarint(d.buf)
+	if n <= 0 {
+		d.fail(errVarint)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(d.buf)
+	if n <= 0 {
+		d.fail(errVarint)
+		return 0
+	}
+	d.buf = d.buf[n:]
+	return v
+}
+
+// fixed consumes the next n bytes, or returns nil.
+func (d *decoder) fixed(n int) []byte {
+	if d.err != nil || len(d.buf) < n {
+		d.fail(errTruncated)
+		return nil
+	}
+	b := d.buf[:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
+// u64 reads 8 little-endian bytes.
+func (d *decoder) u64() uint64 {
+	if b := d.fixed(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// op reads a one-byte opcode.
+func (d *decoder) op() Op {
+	b := d.fixed(1)
+	if b == nil {
+		return OpNop
+	}
+	if op := Op(b[0]); op <= OpRet {
+		return op
+	}
+	d.fail(fmt.Errorf("bad opcode %d", b[0]))
+	return OpNop
+}
+
+// count reads a list length whose elements take at least size bytes each.
+func (d *decoder) count(what string, size int) int {
+	n := d.uvarint()
+	if n > uint64(len(d.buf)/size) {
+		d.fail(fmt.Errorf("%d %ss cannot fit in the %d bytes left", n, what, len(d.buf)))
+		return 0
+	}
+	return int(n)
+}
+
+// index reads an index that must lie in [0, n).
+func (d *decoder) index(what string, n int) int {
+	i := d.uvarint()
+	if i >= uint64(n) {
+		d.fail(fmt.Errorf("%s index %d out of range [0, %d)", what, i, n))
+		return 0
+	}
+	return int(i)
+}
+
+// name cuts the next name from the string table.
+func (d *decoder) name() string {
+	n := d.uvarint()
+	if n > uint64(len(d.strs)) {
+		d.fail(fmt.Errorf("name of %d bytes overruns the string table", n))
+		return ""
+	}
+	s := d.strs[:n]
+	d.strs = d.strs[n:]
+	return s
+}
+
+func (d *decoder) function() *Func {
+	d.strs = string(d.fixed(d.count("string byte", 1)))
+	f := NewFunc(d.name())
+	if n := d.uvarint(); n > maxParamIndex+1 {
+		d.fail(fmt.Errorf("num_params %d out of range", n))
+	} else {
+		f.NumParams = int(n)
+	}
+
+	f.Vars = make([]*Var, d.count("var", minVarBytes))
+	f.vars.reserve(len(f.Vars))
+	for i := range f.Vars {
+		v := f.vars.alloc()
+		v.ID, v.Name, v.Reg = VarID(i), d.name(), d.name()
+		// Bases must point strictly backwards: VarName recurses through
+		// base links, and a forward or self link would cycle.
+		base := d.uvarint()
+		if base > uint64(i) {
+			d.fail(fmt.Errorf("var %d has bad base %d", i, int64(base)-1))
 		}
-		out[i] = VarID(id)
+		v.base = VarID(base) - 1
+		f.Vars[i] = v
 	}
-	return out, nil
+
+	blocks := make([]Block, d.count("block", minBlockBytes))
+	if len(blocks) == 0 {
+		d.fail(errors.New("no blocks"))
+	}
+	d.edges = make([]*Block, d.count("edge", 1))
+	d.instrs = make([]*Instr, d.count("instruction", minInstrBytes))
+	f.instrs.reserve(len(d.instrs))
+	d.ops = make([]VarID, d.count("operand", 1))
+	f.Blocks = make([]*Block, len(blocks))
+	for i := range blocks {
+		blocks[i].ID = i
+		f.Blocks[i] = &blocks[i]
+	}
+	for _, b := range f.Blocks {
+		if d.err != nil {
+			break
+		}
+		if b.Name = d.name(); b.Name == "" {
+			b.Name = fmt.Sprintf("b%d", b.ID)
+		}
+		b.Freq = math.Float64frombits(d.u64())
+		if math.IsNaN(b.Freq) || math.IsInf(b.Freq, 0) || b.Freq < 0 {
+			d.fail(fmt.Errorf("block %s freq %v out of range", b.Name, b.Freq))
+		}
+		b.Preds = d.blockList(f)
+		b.Succs = d.blockList(f)
+		b.Phis = d.instrList(f)
+		b.Instrs = d.instrList(f)
+	}
+	if d.err == nil && (len(d.edges) > 0 || len(d.instrs) > 0 || len(d.ops) > 0) {
+		d.fail(fmt.Errorf("%d edges, %d instructions and %d operands declared but not used",
+			len(d.edges), len(d.instrs), len(d.ops)))
+	}
+	f.MarkCFGMutated()
+	return f
+}
+
+// carve reads a list length and cuts a list of that length from the front
+// of *rest, one of the function's edge, instruction or operand arrays.
+func carve[T any](d *decoder, rest *[]T, what string) []T {
+	n := d.uvarint()
+	if n > uint64(len(*rest)) {
+		d.fail(fmt.Errorf("%d %ss overrun the declared total", n, what))
+		return nil
+	}
+	if n == 0 {
+		return nil
+	}
+	list := (*rest)[:n:n]
+	*rest = (*rest)[n:]
+	return list
+}
+
+func (d *decoder) blockList(f *Func) []*Block {
+	list := carve(d, &d.edges, "edge")
+	for i := range list {
+		list[i] = f.Blocks[d.index("block", len(f.Blocks))]
+	}
+	return list
+}
+
+func (d *decoder) instrList(f *Func) []*Instr {
+	list := carve(d, &d.instrs, "instruction")
+	for i := range list {
+		in := f.NewInstr(d.op())
+		in.Defs = d.varList(f)
+		in.Uses = d.varList(f)
+		in.Aux = d.varint()
+		list[i] = in
+	}
+	return list
+}
+
+func (d *decoder) varList(f *Func) []VarID {
+	ids := carve(d, &d.ops, "operand")
+	for i := range ids {
+		ids[i] = VarID(d.index("var", len(f.Vars)))
+	}
+	return ids
 }

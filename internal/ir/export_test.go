@@ -7,3 +7,7 @@ var (
 	RefParseAll = refParseAll
 	RefString   = refString
 )
+
+// FuncDiff compares two functions field by field, for the codec
+// differential test of the external test package.
+var FuncDiff = funcDiff

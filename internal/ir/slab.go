@@ -49,6 +49,14 @@ func (a *instrArena) alloc() *Instr {
 // previously handed-out record is referenced anymore.
 func (a *instrArena) reset() { a.ci, a.n = 0, 0 }
 
+// reserve gives an empty arena one chunk of exactly n records, for a
+// caller that knows its whole need up front (the binary decoder).
+func (a *instrArena) reserve(n int) {
+	if n > 0 {
+		a.chunks = append(a.chunks, make([]Instr, n))
+	}
+}
+
 // varArena hands out Var records from chunked backing arrays.
 type varArena struct {
 	chunks [][]Var
@@ -71,6 +79,12 @@ func (a *varArena) alloc() *Var {
 }
 
 func (a *varArena) reset() { a.ci, a.n = 0, 0 }
+
+func (a *varArena) reserve(n int) {
+	if n > 0 {
+		a.chunks = append(a.chunks, make([]Var, n))
+	}
+}
 
 // idArena hands out exact-capacity []VarID slices from chunked backing.
 type idArena struct {

@@ -68,16 +68,18 @@ func (m *Memo) Stats() MemoStats {
 	}
 }
 
-// Snapshot serializes the memo's contents to w as a versioned NDJSON
-// stream, oldest entry first, for reloading with Load after a restart. The
-// memo is locked for the duration; snapshot during drain, not under
-// traffic.
+// Snapshot serializes the memo's contents to w as a versioned binary
+// stream of checksummed records, oldest entry first, for reloading with
+// Load after a restart. Lookups and stores proceed while it writes; entries
+// stored after it starts may be left out.
 func (m *Memo) Snapshot(w io.Writer) error { return m.m.Snapshot(w) }
 
 // Load reads a Snapshot stream into the memo, returning how many entries
-// were installed and how many damaged lines (torn tail, corruption) were
-// skipped. Only a missing or incompatible header is an error. Loaded
-// entries respect the memo's bounds.
+// were installed and how many damaged records (torn tail, checksum
+// mismatch, entry that fails verification) were skipped. A missing or
+// incompatible header is an error, and so is a read error, which can come
+// after some entries were installed. Loaded entries respect the memo's
+// bounds.
 func (m *Memo) Load(r io.Reader) (loaded, skipped int, err error) {
 	return m.m.LoadSnapshot(r)
 }
