@@ -161,35 +161,6 @@ func BenchmarkRunBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkRunBatchReference runs the retained single-channel dispatcher
-// on the same workload, so `go test -bench RunBatch` puts the
-// work-stealing driver and its predecessor side by side.
-func BenchmarkRunBatchReference(b *testing.B) {
-	fns := workload()
-	opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
-	pl := pipeline.Translate(opt)
-	seen := map[int]bool{}
-	for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				clones := make([]*ir.Func, len(fns))
-				for j, f := range fns {
-					clones[j] = ir.Clone(f)
-				}
-				b.StartTimer()
-				if err := pipeline.RunBatchReference(context.Background(), clones, pl, w).Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationClassInterference compares the paper's linear
 // congruence-class interference test against the quadratic all-pairs test
 // on identical merge workloads (DESIGN.md ablation).

@@ -41,3 +41,38 @@ func BenchmarkInterferesLinear(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMergeSingleton merges a one-member class into a class of n
+// members with the in-place merge of the class storage. The singleton is
+// defined halfway along the n members, so the merge has to place it among
+// them; each iteration then deletes it again with one copy.
+func BenchmarkMergeSingleton(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var src strings.Builder
+			src.WriteString("func chain {\nentry:\n")
+			for i := 0; i <= n; i++ {
+				fmt.Fprintf(&src, "  x%d = const %d\n", i, i)
+			}
+			src.WriteString("  ret x0\n}\n")
+			f := ir.MustParse(src.String())
+			classes := congruence.New(newChecker(f, true))
+			// Variables are numbered in order of definition: x0..xn.
+			mid := n / 2
+			list := make([]ir.VarID, 0, n+1)
+			for i := 0; i <= n; i++ {
+				if i != mid {
+					list = append(list, ir.VarID(i))
+				}
+			}
+			single := []ir.VarID{ir.VarID(mid)}
+			for b.Loop() {
+				out := congruence.MergeBackward(classes, list, single)
+				copy(out[mid:], out[mid+1:])
+			}
+			if list[mid] != ir.VarID(mid+1) {
+				b.Fatal("the class was not restored")
+			}
+		})
+	}
+}

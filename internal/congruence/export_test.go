@@ -79,3 +79,10 @@ func EagerCheck(c *Classes, a, b ir.VarID, values bool) (interferes bool, tests 
 	}
 	return false, tests, out
 }
+
+// MergeBackward merges the pre-DFS-ordered lists x and y in place, in the
+// backing array of x, which must have room for both — the in-place merge
+// the class storage runs when one list's array has the capacity.
+func MergeBackward(c *Classes, x, y []ir.VarID) []ir.VarID {
+	return c.mergeBackward(x[:len(x)+len(y)], x, y)
+}

@@ -107,7 +107,7 @@ func (c *Classes) interferesLinear(a, b ir.VarID, values bool) bool {
 		cur, curSmall := ir.NoVar, true
 		switch {
 		case ns == 0 && (li == len(lg) || c.lazyOK(lg[li])):
-			if end := c.runEnd(lg, li, sm[si]); end > li {
+			if end := li + c.search(lg[li:], sm[si], false); end > li {
 				dom = append(dom, stackEntry{lo: int32(li), hi: int32(end)})
 				li = end
 			}
@@ -169,22 +169,32 @@ func (c *Classes) interferesLinear(a, b ir.VarID, values bool) bool {
 // or in a reachable block. Definitions in unreachable blocks share one
 // preorder sentinel, so pre-DFS order does not nest them by dominance and
 // only the eager traversal reproduces their stack; they sort first.
-func (c *Classes) lazyOK(v ir.VarID) bool {
-	du := c.chk.DU
-	return !du.HasDef(v) || c.chk.DT.Reachable(du.DefBlock(v))
-}
+func (c *Classes) lazyOK(v ir.VarID) bool { return !c.chk.UnreachableDef(v) }
 
-// runEnd returns the index of the first member of l[i:] that follows v in
-// pre-DFS order (len(l) if none), galloping from i and then bisecting, so
-// a run of r members costs O(log r) comparisons.
-func (c *Classes) runEnd(l []ir.VarID, i int, v ir.VarID) int {
-	lo, hi, step := i, i, 1
-	for hi < len(l) && c.less(l[hi], v) {
-		lo = hi + 1
-		hi += step
-		step *= 2
+// search returns the index of the first member of l that follows v in
+// pre-DFS order (len(l) if none). It gallops from the front of l, or from
+// its back when back is set, probing 1, 2, 4, … members from that end, and
+// then bisects, so an answer r members from the starting end costs
+// O(log r) comparisons.
+func (c *Classes) search(l []ir.VarID, v ir.VarID, back bool) int {
+	lo, hi := 0, len(l)
+	for d := 1; lo < hi; d *= 2 {
+		if back {
+			m := max(len(l)-d, 0)
+			if c.less(l[m], v) {
+				lo = m + 1
+				break
+			}
+			hi = m
+		} else {
+			m := min(d-1, len(l)-1)
+			if !c.less(l[m], v) {
+				hi = m
+				break
+			}
+			lo = m + 1
+		}
 	}
-	hi = min(hi, len(l))
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if c.less(l[m], v) {

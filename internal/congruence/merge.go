@@ -125,18 +125,20 @@ func (c *Classes) mergeForward(out, x, y []ir.VarID) []ir.VarID {
 
 // mergeBackward merges x and y into out, where x occupies the front of
 // out's backing array. Writing from the back, the write index always stays
-// ahead of the unread suffix of x; once y is exhausted the remaining prefix
-// of x is already in place.
+// ahead of the unread prefix of x. Each member of y, last first, is placed
+// by galloping back from the end of that prefix and bisecting, and the
+// members of x it passes move with one copy; once y is exhausted the
+// remaining prefix of x is already in place. A merge costs
+// O(|y|·log(|x|/|y|)) comparisons instead of up to |x|+|y|.
 func (c *Classes) mergeBackward(out, x, y []ir.VarID) []ir.VarID {
-	i, j := len(x)-1, len(y)-1
-	for k := len(out) - 1; j >= 0; k-- {
-		if i >= 0 && c.less(y[j], x[i]) {
-			out[k] = x[i]
-			i--
-		} else {
-			out[k] = y[j]
-			j--
-		}
+	i, k := len(x), len(out)
+	for j := len(y) - 1; j >= 0; j-- {
+		p := c.search(x[:i], y[j], true)
+		k -= i - p
+		copy(out[k:], x[p:i])
+		k--
+		out[k] = y[j]
+		i = p
 	}
 	return out
 }

@@ -20,11 +20,11 @@
 // re-derivation: LiveAfter binary-searches the (block, slot)-sorted use
 // lists of ir.DefUse instead of scanning them, and DefOrder/DefDominates
 // compare packed per-variable def-point keys (preorder<<32|slot, cached in
-// the Checker) instead of chasing DefBlock→PreOrder indirections on every
-// call. The pre-optimization implementations survive as the *Reference
-// methods — the differential oracle of the tests and of the coalescing
-// trajectory benchmark — and the Reference flag reroutes the whole checker
-// to them.
+// the Checker, with a sentinel for "no definition") instead of chasing
+// HasDef and DefBlock→PreOrder indirections on every call. The
+// pre-optimization implementations survive as the *Reference methods —
+// the differential oracle of the tests and of the coalescing trajectory
+// benchmark — and the Reference flag reroutes the whole checker to them.
 package interference
 
 import (
@@ -72,13 +72,18 @@ type Checker struct {
 
 	// Cached def-point keys, built lazily on first order/dominance query
 	// and extended as the variable universe grows. defKey packs
-	// (preorder+1)<<32 | slot so one uint64 comparison decides DefOrder;
-	// its preorder half and defPost answer block-level dominance without
-	// going through DefBlock. The virtualized translator invalidates moved
-	// definitions with DefMoved.
+	// (preorder+1)<<32 | slot so one uint64 comparison decides DefOrder,
+	// and is noDef for a variable without a definition, which sorts it
+	// last; its preorder half and defPost answer block-level dominance
+	// without going through DefBlock. The virtualized translator
+	// invalidates moved definitions with DefMoved.
 	defKey  []uint64
 	defPost []int32
 }
+
+// noDef is the def-point key of a variable without a definition: above
+// every (preorder+1)<<32 | slot key, so such variables sort last.
+const noDef = ^uint64(0)
 
 // DefKeys is reusable storage for a Checker's def-point key cache. It may
 // serve any number of checkers one after another, never two at once: a
@@ -97,14 +102,19 @@ func (c *Checker) Value(v ir.VarID) ir.VarID {
 }
 
 // ensureKeys extends the cached def-point keys to the current variable
-// universe, computing keys for any variables added since the last call.
-// The first call adopts the arrays of Keys, and every growth stores them
-// back there.
+// universe. It is a length check, cheap enough to inline into every
+// order and dominance query; growKeys does the work.
 func (c *Checker) ensureKeys() {
-	have, n := len(c.defKey), len(c.F.Vars)
-	if have >= n {
-		return
+	if len(c.defKey) < len(c.F.Vars) {
+		c.growKeys()
 	}
+}
+
+// growKeys computes keys for the variables added since the last call. The
+// first call adopts the arrays of Keys, and every growth stores them back
+// there.
+func (c *Checker) growKeys() {
+	have, n := len(c.defKey), len(c.F.Vars)
 	if have == 0 && c.Keys != nil {
 		c.defKey, c.defPost = c.Keys.key[:0], c.Keys.post[:0]
 	}
@@ -121,7 +131,7 @@ func (c *Checker) ensureKeys() {
 // refreshKey recomputes the cached def-point key of v from DU and DT.
 func (c *Checker) refreshKey(v ir.VarID) {
 	if !c.DU.HasDef(v) {
-		c.defKey[v] = 0
+		c.defKey[v] = noDef
 		c.defPost[v] = -1
 		return
 	}
@@ -196,21 +206,14 @@ func (c *Checker) DefOrder(a, b ir.VarID) int {
 	if c.Reference {
 		return c.DefOrderReference(a, b)
 	}
-	ha, hb := c.DU.HasDef(a), c.DU.HasDef(b)
-	switch {
-	case !ha && !hb:
-		return int(a) - int(b)
-	case !ha:
-		return 1
-	case !hb:
-		return -1
-	}
 	c.ensureKeys()
 	switch ka, kb := c.defKey[a], c.defKey[b]; {
 	case ka < kb:
 		return -1
 	case ka > kb:
 		return 1
+	case ka == noDef:
+		return int(a) - int(b)
 	}
 	return 0
 }
@@ -243,11 +246,11 @@ func (c *Checker) DefDominates(a, b ir.VarID) bool {
 	if c.Reference {
 		return c.DefDominatesReference(a, b)
 	}
-	if !c.DU.HasDef(a) || !c.DU.HasDef(b) {
-		return false
-	}
 	c.ensureKeys()
 	ka, kb := c.defKey[a], c.defKey[b]
+	if ka == noDef || kb == noDef {
+		return false
+	}
 	if ka>>32 == kb>>32 {
 		// Same preorder number means same block — except for the shared
 		// "unreachable" sentinel, where block identity must be rechecked.
@@ -259,6 +262,16 @@ func (c *Checker) DefDominates(a, b ir.VarID) bool {
 	// The preorders differ: a's must come first and b's postorder fall
 	// inside a's subtree. An unreachable a (postorder -1) dominates nothing.
 	return ka < kb && c.defPost[b] <= c.defPost[a]
+}
+
+// UnreachableDef reports whether v is defined in a block the entry does
+// not reach.
+func (c *Checker) UnreachableDef(v ir.VarID) bool {
+	if c.Reference {
+		return c.DU.HasDef(v) && !c.DT.Reachable(c.DU.DefBlock(v))
+	}
+	c.ensureKeys()
+	return c.defKey[v]>>32 == 0 // the preorder half of an unreachable block is 0
 }
 
 // DefDominatesReference is the per-query derivation baseline.

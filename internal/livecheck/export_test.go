@@ -135,9 +135,9 @@ func (o *Oracle) Accepted(q, d int) []int {
 // from q that must not cross d.
 func (c *Checker) Accepted(q, d int) []int {
 	out := []int{}
-	if c.accept(q, d) {
+	if acc := c.accept(q, d); acc != nil {
 		for i, t := range c.tgts {
-			if c.acc[i/64]&(1<<(i%64)) != 0 {
+			if acc[i/64]&(1<<(i%64)) != 0 {
 				out = append(out, int(t))
 			}
 		}

@@ -27,7 +27,12 @@
 // allowed targets in Loops(t) of every accepted t, until nothing new is
 // accepted. a is live-in at q iff some use block u lies in R(q), or
 // Reachers(u) shares a bit with the accepted set — one bit probe and one
-// word-AND per use.
+// word-AND per use, in a single pass over the uses.
+//
+// The accepted set depends on q and d alone, and many variables share a
+// defining block, so each block q keeps the last set computed for it,
+// tagged with its d: a repeated (q, d) pair reads the stored row instead
+// of walking again.
 //
 // The answer is exact on every CFG, irreducible ones included, because it
 // decides the same thing as the fixpoint that closes R(q) over back edges:
@@ -40,7 +45,8 @@
 //
 // Because the structures depend only on the CFG, they stay valid while
 // instructions are inserted or removed — exactly what the out-of-SSA
-// translator needs while it inserts copies.
+// translator needs while it inserts copies. So do the stored accepted
+// sets: R, Loops, d's dominance region and the loop targets decide them.
 package livecheck
 
 import (
@@ -72,10 +78,16 @@ type Checker struct {
 	loops    []uint64 // Loops(b), tw words per block
 	reachers []uint64 // Reachers(b), tw words per block
 
+	// The accepted-target memo: accD[q] is the defining block d that
+	// block q's row of acc (tw words) was computed for, -1 when the row
+	// holds nothing yet.
+	accD []int32
+	acc  []uint64
+
 	// Per-query scratch, reused across queries; the checker is therefore
 	// not safe for concurrent use.
-	allowed, acc []uint64
-	stack        []int32
+	allowed []uint64
+	stack   []int32
 
 	tgtOf []int32 // build scratch: loop-target index of each block
 }
@@ -136,8 +148,12 @@ func (c *Checker) Rebuild(f *ir.Func, dt *dom.Tree, du *ir.DefUse) {
 	clear(c.r)
 	clear(c.loops)
 	clear(c.reachers)
+	c.accD = resize(c.accD, n)
+	for i := range c.accD {
+		c.accD[i] = -1
+	}
+	c.acc = resize(c.acc, n*c.tw)
 	c.allowed = resize(c.allowed, c.tw)
-	c.acc = resize(c.acc, c.tw)
 	c.stack = resize(c.stack, len(c.tgts))
 
 	// R and Loops in reverse topological order of the reduced graph. The
@@ -183,39 +199,52 @@ func or(dst, src []uint64) {
 	}
 }
 
-// accept computes, into c.acc, the loop targets a walk from q may re-enter
-// without crossing d, and reports whether there is any.
-func (c *Checker) accept(q, d int) bool {
+// accept returns the loop targets a walk from q may re-enter without
+// crossing d, as q's row of the memo, or nil when there is none. A miss
+// computes the row and overwrites q's entry.
+func (c *Checker) accept(q, d int) []uint64 {
+	acc := c.row(c.acc, c.tw, q)
+	if c.accD[q] != int32(d) {
+		c.accD[q] = int32(d)
+		c.walk(acc, q, d)
+	}
+	for _, w := range acc {
+		if w != 0 {
+			return acc
+		}
+	}
+	return nil
+}
+
+// walk computes into acc the loop targets accepted for a walk from q that
+// must not cross d.
+func (c *Checker) walk(acc []uint64, q, d int) {
+	clear(acc)
 	// Targets strictly inside d's dominance region have preorder numbers in
 	// (pre(d), post(d)): the tree is numbered with one clock for both.
 	lo, _ := slices.BinarySearch(c.tgtPre, c.dt.PreOrder(d)+1)
 	hi, _ := slices.BinarySearch(c.tgtPre, c.dt.PostOrder(d))
 	if lo >= hi {
-		return false
+		return
 	}
-	allowed, acc := c.allowed, c.acc
-	for wi := range allowed {
-		allowed[wi] = span(wi, lo, hi)
-		acc[wi] = 0
+	for wi := range c.allowed {
+		c.allowed[wi] = span(wi, lo, hi)
 	}
 	// Each accepted target is pushed once and expanded once.
-	stack := c.stack[:0]
-	stack = c.admit(stack, q)
-	found := len(stack) > 0
+	stack := c.admit(c.stack[:0], acc, q)
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
-		stack = c.admit(stack[:len(stack)-1], int(c.tgts[i]))
+		stack = c.admit(stack[:len(stack)-1], acc, int(c.tgts[i]))
 	}
 	c.stack = stack
-	return found
 }
 
-// admit accepts the allowed targets of Loops(b) not yet accepted and
-// pushes their indices onto stack.
-func (c *Checker) admit(stack []int32, b int) []int32 {
+// admit accepts into acc the allowed targets of Loops(b) not yet accepted
+// and pushes their indices onto stack.
+func (c *Checker) admit(stack []int32, acc []uint64, b int) []int32 {
 	for wi, x := range c.row(c.loops, c.tw, b) {
-		x &= c.allowed[wi] &^ c.acc[wi]
-		c.acc[wi] |= x
+		x &= c.allowed[wi] &^ acc[wi]
+		acc[wi] |= x
 		for ; x != 0; x &= x - 1 {
 			stack = append(stack, int32(wi*64+bits.TrailingZeros64(x)))
 		}
@@ -246,18 +275,13 @@ func (c *Checker) LiveInBlock(v ir.VarID, q int) bool {
 	// A body use inside the defining block sits before d's exit; a φ use on
 	// an edge d→succ is only live on that very edge. In both cases reaching
 	// it from elsewhere would cross d, so uses in d are skipped.
-	uses := c.du.Uses(v)
-	rq := c.row(c.r, c.rw, q)
-	for _, u := range uses {
-		if ub := int(u.Block); ub != d && rq[ub/64]&(1<<(ub%64)) != 0 {
-			return true
+	rq, acc := c.row(c.r, c.rw, q), c.accept(q, d)
+	for _, u := range c.du.Uses(v) {
+		ub := int(u.Block)
+		if ub == d {
+			continue
 		}
-	}
-	if !c.accept(q, d) {
-		return false
-	}
-	for _, u := range uses {
-		if ub := int(u.Block); ub != d && intersects(c.row(c.reachers, c.tw, ub), c.acc) {
+		if rq[ub/64]&(1<<(ub%64)) != 0 || acc != nil && intersects(c.row(c.reachers, c.tw, ub), acc) {
 			return true
 		}
 	}
@@ -300,11 +324,11 @@ func (c *Checker) LiveOutBlock(v ir.VarID, q int) bool {
 }
 
 // Bytes returns the footprint of the stored structures: R, Loops and
-// Reachers per block, the loop-target list with its preorder numbers, and
-// the query scratch.
+// Reachers per block, the accepted-target memo (8·tw + 4 bytes per block),
+// the loop-target list with its preorder numbers, and the query scratch.
 func (c *Checker) Bytes() int {
-	words := len(c.r) + len(c.loops) + len(c.reachers) + len(c.allowed) + len(c.acc)
-	return 8*words + 4*3*len(c.tgts) // tgts, tgtPre and the query stack
+	words := len(c.r) + len(c.loops) + len(c.reachers) + len(c.acc) + len(c.allowed)
+	return 8*words + 4*len(c.accD) + 4*3*len(c.tgts) // tgts, tgtPre and the query stack
 }
 
 // EvaluatedBytes is the paper's perfect-memory formula for the checking

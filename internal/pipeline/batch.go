@@ -240,68 +240,6 @@ func runBatchStealing(ctx context.Context, funcs []*ir.Func, p *Pipeline, res *B
 	}
 }
 
-// RunBatchReference is the pre-work-stealing batch driver, kept as the
-// differential oracle: a single unbuffered channel hands indices to the
-// pool one synchronized rendezvous at a time, and every worker draws its
-// scratch from the shared core pool. It honors the same contract as
-// RunBatch — per-index contexts, input-order stats fold, cancellation
-// marking — so the property tests can assert the work-stealing driver is
-// bit-identical to it. New code should call RunBatch.
-func RunBatchReference(ctx context.Context, funcs []*ir.Func, p *Pipeline, workers int) *BatchResult {
-	workers = clampWorkers(workers, len(funcs))
-	res := &BatchResult{
-		Contexts: make([]*Context, len(funcs)),
-		Errs:     make([]error, len(funcs)),
-		Workers:  workers,
-	}
-	if workers == 1 {
-		sc := core.GetScratch()
-		for i := range funcs {
-			if ctx.Err() != nil {
-				break
-			}
-			res.Contexts[i] = NewContext(funcs[i])
-			res.Contexts[i].Scratch = sc
-			res.Errs[i] = runSafe(ctx, p, res.Contexts[i])
-			detach(res.Contexts[i])
-		}
-		core.PutScratch(sc)
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := core.GetScratch()
-				defer core.PutScratch(sc)
-				for i := range next {
-					res.Contexts[i] = NewContext(funcs[i])
-					res.Contexts[i].Scratch = sc
-					res.Errs[i] = runSafe(ctx, p, res.Contexts[i])
-					detach(res.Contexts[i])
-				}
-			}()
-		}
-		// Cancellation fast path: the moment ctx.Done fires inside the
-		// rendezvous, the labeled break abandons the dispatch loop — the
-		// remaining indices are never iterated; markSkipped carries them.
-	dispatch:
-		for i := range funcs {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
-	}
-	markSkipped(ctx, res)
-	foldStats(res)
-	return res
-}
-
 // markSkipped marks the functions the driver never claimed with the
 // cancellation cause (a claimed function always has a context, even when
 // its pipeline failed).
