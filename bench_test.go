@@ -207,8 +207,8 @@ var (
 	liveCorpus     []bench.LivenessCase
 )
 
-// livenessWorkload returns the large-CFG corpus of the liveness trajectory
-// at a bench-friendly scale (still hundreds of blocks per function).
+// livenessWorkload returns the large-CFG liveness corpus at a
+// bench-friendly scale (still hundreds of blocks per function).
 func livenessWorkload() []bench.LivenessCase {
 	liveCorpusOnce.Do(func() { liveCorpus = bench.LivenessCorpus(0.1) })
 	return liveCorpus
@@ -216,8 +216,7 @@ func livenessWorkload() []bench.LivenessCase {
 
 // BenchmarkLiveness measures the worklist liveness engine against the
 // pre-worklist round-robin reference on the synthetic large-CFG corpus,
-// for both set backends — the testing.B twin of
-// `ssabench -fig liveness` / BENCH_liveness.json.
+// for both set backends.
 func BenchmarkLiveness(b *testing.B) {
 	engines := []struct {
 		name string
@@ -259,8 +258,8 @@ var (
 	coalCorpus     []bench.CoalesceCase
 )
 
-// coalesceWorkload returns the φ/copy-dense corpus of the coalescing
-// trajectory at a bench-friendly scale.
+// coalesceWorkload returns the φ/copy-dense coalescing corpus at a
+// bench-friendly scale.
 func coalesceWorkload() []bench.CoalesceCase {
 	coalCorpusOnce.Do(func() { coalCorpus = bench.CoalesceCorpus(0.1) })
 	return coalCorpus
@@ -269,8 +268,7 @@ func coalesceWorkload() []bench.CoalesceCase {
 // BenchmarkCoalesce measures the optimized interference query path
 // (binary-search LiveAfter, packed def-point keys, pooled congruence
 // scratch) against the kept reference path on the φ/copy-dense corpus, for
-// both liveness backends — the testing.B twin of `ssabench -fig coalesce` /
-// BENCH_coalesce.json.
+// both liveness backends.
 func BenchmarkCoalesce(b *testing.B) {
 	for _, eng := range []struct {
 		name      string
@@ -307,8 +305,8 @@ var (
 	transCorpus     []bench.TranslateCase
 )
 
-// translateWorkload returns the end-to-end corpus of the translate
-// trajectory at a bench-friendly scale.
+// translateWorkload returns the end-to-end translation corpus at a
+// bench-friendly scale.
 func translateWorkload() []bench.TranslateCase {
 	transCorpusOnce.Do(func() { transCorpus = bench.TranslateCorpus(0.1) })
 	return transCorpus
@@ -318,8 +316,7 @@ func translateWorkload() []bench.TranslateCase {
 // the pooled-scratch/slab allocation path (CloneInto + TranslateInto with
 // one reused core.Scratch) against the kept pre-pooling reference
 // (Clone + ReferenceAlloc) — for the default Sharing strategy and the
-// virtualized Sreedhar III baseline. The testing.B twin of
-// `ssabench -fig translate` / BENCH_translate.json.
+// virtualized Sreedhar III baseline.
 func BenchmarkTranslate(b *testing.B) {
 	strategies := []struct {
 		name string

@@ -7,54 +7,18 @@
 //	ssabench -fig 7           # memory footprint per machinery combination
 //	ssabench -fig all         # every paper figure (5, 6 and 7)
 //
-// Beyond the paper's figures it records the engine's perf trajectories
-// (long-running benchmarks, deliberately not part of -fig all). Every
-// trajectory emits the same versioned report envelope — run metadata
-// (commit, machine shape, GOMAXPROCS, GOGC, timestamp) plus rows of named
-// metric samples — repeated -count times so the compare gate has real
-// variance to work with:
+// -scale shrinks or grows the suite; -weighted adds the frequency-weighted
+// companion of Figure 5; -workers sets the batch driver's worker pool for
+// the untimed figures (0 = GOMAXPROCS). Figures 5 and 7 print the same
+// bytes at any worker count. -cpuprofile and -memprofile write pprof
+// profiles of the run:
 //
-//	ssabench -fig liveness -count 3 -out BENCH_liveness.json
-//	ssabench -fig coalesce -count 3 -store .ssabench
-//	ssabench -fig translate -against BENCH_translate.json -out BENCH_translate.json
-//	ssabench -fig scale -store .ssabench -mineff 0.6
+//	ssabench -fig 6 -cpuprofile fig6.cpu.pprof
+//	go tool pprof fig6.cpu.pprof
 //
-// -fig liveness benchmarks the worklist liveness engine against the
-// pre-worklist round-robin fixpoint; -fig coalesce benchmarks the
-// optimized interference query path against the kept reference path;
-// -fig translate benchmarks the end-to-end clone+translate steady state
-// (pooled vs reference allocation) across all Figure 5 strategies;
-// -fig scale sweeps the work-stealing batch driver over worker counts ×
-// GOGC settings. -out writes the envelope to a file (the committed
-// BENCH_*.json format); -store appends it to the persistent bench store;
-// -against gates the run against a baseline (a file or a store reference)
-// under the trajectory's standing policies — allocs/op within 20%,
-// translation quality never worse, efficiency floors — and exits 1 on any
-// violation.
-//
-// The store and comparison are also first-class subcommands:
-//
-//	ssabench store list
-//	ssabench store snapshot -name v1-baseline -ref latest:translate
-//	ssabench store export -ref v1-baseline -o BENCH_translate.json
-//	ssabench compare -baseline BENCH_translate.json -candidate latest:translate
-//	ssabench compare -baseline v1 -candidate latest -inject allocs_per_op=+50%
-//
-// compare exits 0 when every gate passes and 1 otherwise; -inject
-// synthetically regresses one candidate metric so CI can demonstrate the
-// gate actually fires. Baselines recorded on another machine shape refuse
-// to compare unless -allow-machine-mismatch, which skips wall-clock gates
-// (loudly) but keeps allocation and quality gates — those are
-// machine-neutral.
-//
-// -scale shrinks or grows the workload (the trajectory corpora included);
-// -weighted adds the frequency-weighted companion of Figure 5; -workers
-// sets the batch driver's worker pool for the untimed figures (0 =
-// GOMAXPROCS). -cpuprofile and -memprofile write pprof profiles of the
-// run, so a flat spot found by the scale sweep can be attributed directly:
-//
-//	ssabench -fig scale -cpuprofile scale.cpu.pprof
-//	go tool pprof scale.cpu.pprof
+// The engine's timed benchmark is perfbench (see BENCHMARK.json); the
+// deterministic counts and allocation bounds of the large-CFG corpora are
+// tier-1 tests in package outofssa/bench.
 package main
 
 import (
@@ -66,32 +30,14 @@ import (
 	"repro/cmd/internal/profileflags"
 	"repro/outofssa"
 	"repro/outofssa/bench"
-	"repro/outofssa/bench/compare"
-	"repro/outofssa/bench/store"
 )
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "store":
-			os.Exit(storeCmd(os.Args[2:]))
-		case "compare":
-			os.Exit(compareCmd(os.Args[2:]))
-		}
-	}
-
-	fig := flag.String("fig", "all", "figure to regenerate: 5, 6, 7, or all (paper figures); liveness, coalesce, translate and scale run the perf trajectories instead")
+	fig := flag.String("fig", "all", "figure to regenerate: 5, 6, 7, or all")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	reps := flag.Int("reps", 3, "timing repetitions for figure 6")
-	count := flag.Int("count", 3, "measurement passes per trajectory (samples per metric)")
 	weighted := flag.Bool("weighted", false, "also print the frequency-weighted figure 5 table")
 	workers := flag.Int("workers", 0, "pipeline batch workers for figures 5 and 7 (0 = GOMAXPROCS)")
-	out := flag.String("out", "", "with a trajectory -fig: write the report envelope as JSON to this file")
-	storeDir := flag.String("store", "", "with a trajectory -fig: append the envelope to this bench store directory")
-	against := flag.String("against", "", "with a trajectory -fig: gate against this baseline (an envelope file, or a store reference when -store is set)")
-	allowMismatch := flag.Bool("allow-machine-mismatch", false, "with -against: compare across machine shapes, skipping wall-clock gates")
-	minEff := flag.Float64("mineff", 0.6, "with -fig scale: minimum parallel efficiency at 8 workers (0 disables the gate)")
-	commit := flag.String("commit", "", "commit id recorded in the envelope (default $SSABENCH_COMMIT)")
 	strategy := flag.String("strategy", "all",
 		"restrict figure 5 to one coalescing strategy: all, or one of "+strings.Join(outofssa.StrategyNames(), "|"))
 	profileflags.Register()
@@ -106,40 +52,21 @@ func main() {
 		}
 		strategies = []outofssa.Strategy{s}
 	}
-	if *commit != "" {
-		bench.Commit = *commit
-	}
 
 	bench.Workers = *workers
-	os.Exit(run(*fig, *scale, *reps, *count, *weighted, *out, *storeDir, *against, *allowMismatch, *minEff, strategies))
+	os.Exit(run(*fig, *scale, *reps, *weighted, strategies))
 }
 
 // run dispatches the figure and returns the process exit code. It exists
 // (instead of os.Exit calls inside the figure functions) so the deferred
-// profile writers always flush — an os.Exit on a gate failure would
-// otherwise truncate the very profile needed to debug the regression.
-func run(fig string, scale float64, reps, count int, weighted bool, out, storeDir, against string, allowMismatch bool, minEff float64, strategies []outofssa.Strategy) int {
+// profile writers always flush.
+func run(fig string, scale float64, reps int, weighted bool, strategies []outofssa.Strategy) int {
 	stop, err := profileflags.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
 		return 1
 	}
 	defer stop()
-
-	var runner bench.Runner
-	switch fig { // the trajectories have their own corpora; no SPEC suite
-	case "liveness":
-		runner = bench.LivenessRunner(scale)
-	case "coalesce":
-		runner = bench.CoalesceRunner(scale)
-	case "translate":
-		runner = bench.TranslateRunner(scale)
-	case "scale":
-		runner = bench.ScaleRunner(scale)
-	}
-	if runner != nil {
-		return trajectory(runner, count, out, storeDir, against, allowMismatch, minEff)
-	}
 
 	suite := bench.Suite(scale)
 	total := 0
@@ -183,93 +110,4 @@ func fig6(suite []bench.Benchmark, reps int) {
 
 func fig7(suite []bench.Benchmark) {
 	fmt.Print(bench.FormatFig7(bench.Fig7(suite)))
-}
-
-// trajectory measures one trajectory -count times, writes/stores the
-// envelope, and gates against the baseline when one is named.
-func trajectory(r bench.Runner, count int, out, storeDir, against string, allowMismatch bool, minEff float64) int {
-	// Load a file baseline before measuring (and before -out overwrites it).
-	var baseline *bench.Report
-	if against != "" {
-		if _, err := os.Stat(against); err == nil {
-			baseline, err = bench.ReadReportFile(against)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-				return 1
-			}
-		}
-	}
-
-	rep, err := bench.Measure(r, count)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-		return 1
-	}
-	fmt.Print(bench.FormatReport(rep))
-
-	if out != "" {
-		if err := writeEnvelope(out, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("\nwrote %s\n", out)
-	}
-	if storeDir != "" {
-		st, err := store.Open(storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-			return 1
-		}
-		id, err := st.Append(rep)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("stored %s (%s)\n", id, st.Dir())
-	}
-
-	if against == "" {
-		return 0
-	}
-	if baseline == nil {
-		// Not a file: resolve against the store.
-		if storeDir == "" {
-			fmt.Fprintf(os.Stderr, "ssabench: baseline %q is not a file and no -store is set\n", against)
-			return 1
-		}
-		st, err := store.Open(storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-			return 1
-		}
-		e, err := st.Resolve(against)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-			return 1
-		}
-		baseline = e.Report
-	}
-	res, err := compare.Compare(baseline, rep, compare.DefaultPolicies(rep.Trajectory, minEff), compare.Options{AllowMachineMismatch: allowMismatch})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ssabench: %v\n", err)
-		return 1
-	}
-	fmt.Println()
-	fmt.Print(res.Format())
-	if !res.OK() {
-		return 1
-	}
-	return 0
-}
-
-func writeEnvelope(path string, rep *bench.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := rep.WriteJSON(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr // a failed flush at close also corrupts the envelope
-	}
-	return werr
 }

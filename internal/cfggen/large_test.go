@@ -21,8 +21,8 @@ func TestLargeDeterministic(t *testing.T) {
 	}
 }
 
-// TestLargeShape: the corpus must actually contain what the liveness
-// trajectory claims — valid SSA-sized CFGs with deep loop nests and wide
+// TestLargeShape: the liveness corpus must actually contain what its
+// profile promises — valid SSA-sized CFGs with deep loop nests and wide
 // many-predecessor joins carrying φ pressure.
 func TestLargeShape(t *testing.T) {
 	fns := GenerateLarge(LargeLivenessProfile("shape", 77, 0.25))

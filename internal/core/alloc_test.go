@@ -61,8 +61,8 @@ func TestTranslateSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("steady-state translation allocates %v times per run, bound %v", got, cfg.bound)
 			}
 
-			// The committed trajectory claims ≥2× fewer allocations than the
-			// reference path; hold the floor here too.
+			// Pooling must at least halve the allocations of the kept
+			// pre-pooling reference path.
 			refOpt := cfg.opt
 			refOpt.ReferenceAlloc = true
 			ref := testing.AllocsPerRun(10, func() {
@@ -80,8 +80,8 @@ func TestTranslateSteadyStateAllocs(t *testing.T) {
 
 // TestReferenceAllocMatchesPooled: the ReferenceAlloc baseline and the
 // pooled path must produce byte-identical translated IR and identical
-// deterministic statistics for every Figure 5 strategy — the trajectory
-// benchmark isolates allocation cost, not translation quality.
+// deterministic statistics for every Figure 5 strategy, so comparing the
+// two measures allocation cost, not translation quality.
 func TestReferenceAllocMatchesPooled(t *testing.T) {
 	funcs := cfggen.Generate(cfggen.DefaultProfile("refalloc", 1717))
 	sc := NewScratch()

@@ -4,14 +4,15 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/cfggen"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
 )
 
-// memoDiffOpts are the two option sets the memo trajectory measures: the
-// paper's recommended configuration and the virtualized Sreedhar III
+// memoDiffOpts are the two option sets the memo tests translate under:
+// the paper's recommended configuration and the virtualized Sreedhar III
 // baseline (exercising the def-use-preserving coalescer under the memo).
 var memoDiffOpts = []core.Options{
 	{Strategy: core.Sharing, Linear: true, LiveCheck: true},
@@ -21,7 +22,7 @@ var memoDiffOpts = []core.Options{
 // TestMemoHitMatchesPlainPipeline: translating a structural duplicate
 // through a warm memo must yield the same stats (modulo phase nanos), the
 // same coalescing statuses, and observably equivalent code as the plain
-// pipeline — the differential contract the bench oracle enforces per run.
+// pipeline — the differential contract of every memo hit.
 func TestMemoHitMatchesPlainPipeline(t *testing.T) {
 	p := cfggen.DefaultProfile("memopipe", 23)
 	p.Funcs = 6
@@ -93,7 +94,8 @@ func TestMemoHitMatchesPlainPipeline(t *testing.T) {
 // TestMemoSharedAcrossBatchWorkers: a near-duplicate corpus pushed through
 // RunBatch with a shared memo must translate every function correctly at
 // any worker count, and the second pass over the same corpus must be all
-// hits. Run under -race this is also the concurrency check on the memo.
+// hits that skip translation entirely. Run under -race this is also the
+// concurrency check on the memo.
 func TestMemoSharedAcrossBatchWorkers(t *testing.T) {
 	corpus := cfggen.GenerateNearDuplicates(cfggen.NearDuplicateProfile{
 		Base:     cfggen.DefaultProfile("memobatch", 31),
@@ -129,9 +131,15 @@ func TestMemoSharedAcrossBatchWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: warm aggregate differs from cold:\n%+v\nvs\n%+v",
 				workers, zeroNanos(cold.Stats), zeroNanos(warm.Stats))
 		}
+		// A hit materializes the stored output before any translation
+		// exists, so no analysis runs: no Translation, no cache miss.
 		for i, ctx := range warm.Contexts {
 			if !ctx.MemoHit {
 				t.Fatalf("workers=%d: %s missed on the second pass", workers, corpus[i].Name)
+			}
+			if ctx.Translation != nil || ctx.Cache.Misses != ([analysis.NumKinds]uint64{}) {
+				t.Fatalf("workers=%d: %s hit the memo but still translated (analysis misses %v)",
+					workers, corpus[i].Name, ctx.Cache.Misses)
 			}
 		}
 	}

@@ -1,9 +1,13 @@
 // Package bench regenerates the paper's evaluation (Figures 5, 6 and 7) on
-// the synthetic SPEC CINT2000 stand-in suite of the workload generator. It
-// is shared by cmd/ssabench and the root testing.B benchmarks, and is part
-// of the public façade: its exported types use the aliases re-exported by
-// package outofssa (Strategy, Options, Stats, Func), so external consumers
-// never need an internal import.
+// the synthetic SPEC CINT2000 stand-in suite of the workload generator,
+// and builds the large-CFG corpora (liveness, coalescing, end-to-end
+// translation) that the root testing.B benchmarks time. It is shared by
+// cmd/ssabench and those benchmarks, and is part of the public façade:
+// its exported types use the aliases re-exported by package outofssa
+// (Strategy, Options, Stats, Func), so external consumers never need an
+// internal import. Its tests hold the committed golden table of
+// deterministic counts (TestGoldenCounts) and the allocation bounds
+// (TestCorpusAllocs).
 package bench
 
 import (
@@ -16,9 +20,10 @@ import (
 )
 
 // Workers is the worker count handed to pipeline.RunBatch for the untimed
-// figures (5 and 7); 0 selects runtime.NumCPU. The timed Figure 6 always
-// measures sequentially. Results are identical for any value — the batch
-// driver's aggregation is deterministic.
+// figures (5 and 7); 0 selects runtime.GOMAXPROCS(0), as RunBatch
+// resolves it. The timed Figure 6 always measures sequentially. Results
+// are identical for any value — the batch driver's aggregation is
+// deterministic.
 var Workers = 0
 
 // Benchmark is one named workload of the suite.

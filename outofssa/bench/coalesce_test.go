@@ -33,7 +33,7 @@ func TestCoalesceCorpusDeterministicAndValid(t *testing.T) {
 }
 
 // TestCoalesceCorpusEnginesAgree runs the differential check on the very
-// unit of work the trajectory measures: the optimized and reference query
+// unit of work BenchmarkCoalesce times: the optimized and reference query
 // paths must coalesce identically, affinity by affinity.
 func TestCoalesceCorpusEnginesAgree(t *testing.T) {
 	for _, c := range CoalesceCorpus(0.03) {
@@ -63,12 +63,12 @@ func oracleOptions(s core.Strategy, reference bool) core.Options {
 	return opt
 }
 
-// TestStrategiesReferenceOracle is the PR's acceptance oracle: for every
-// Figure 5 strategy, the optimized query path (binary-search LiveAfter,
-// packed def-point keys, pooled congruence scratch) and the kept reference
-// path must make identical per-affinity coalescing decisions
-// (Result.Statuses) — on the SPEC stand-in suite and on the φ/copy-dense
-// trajectory corpus shape alike.
+// TestStrategiesReferenceOracle is the query path's acceptance oracle:
+// for every Figure 5 strategy, the optimized query path (binary-search
+// LiveAfter, packed def-point keys, pooled congruence scratch) and the
+// kept reference path must make identical per-affinity coalescing
+// decisions (Result.Statuses) — on the SPEC stand-in suite and on the
+// φ/copy-dense corpus shape alike.
 func TestStrategiesReferenceOracle(t *testing.T) {
 	var funcs []*ir.Func
 	for _, b := range Suite(0.05) {

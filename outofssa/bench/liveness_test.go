@@ -27,7 +27,7 @@ func TestLivenessCorpusDeterministicAndValid(t *testing.T) {
 }
 
 // TestLivenessCorpusEnginesAgree runs the differential check on the very
-// corpus the trajectory measures (the benchmark claim depends on it).
+// corpus BenchmarkLiveness times (the benchmark claim depends on it).
 func TestLivenessCorpusEnginesAgree(t *testing.T) {
 	for _, c := range LivenessCorpus(0.03) {
 		f := c.Func()

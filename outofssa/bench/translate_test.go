@@ -30,7 +30,7 @@ func TestTranslateCorpusDeterministicAndValid(t *testing.T) {
 }
 
 // TestTranslateEnginesAgree runs the differential check on the very unit of
-// work the trajectory measures: for every case and Figure 5 strategy, the
+// work BenchmarkTranslate times: for every case and Figure 5 strategy, the
 // pooled engine (CloneInto + reused scratch) and the reference engine
 // (Clone + ReferenceAlloc) must emit byte-identical code and identical
 // deterministic statistics.
