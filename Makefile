@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet bench race examples ci chaos fuzz figures
+.PHONY: build test vet bench race examples ci chaos fuzz figures fmtcheck apicheck figcheck
 
 build:
 	$(GO) build ./...
@@ -45,4 +45,31 @@ fuzz:
 figures:
 	$(GO) run ./cmd/ssabench -fig all
 
-ci: vet build test race examples chaos
+# Source gates: every file gofmt-clean, and commands and examples import
+# only the public repro/outofssa API, never repro/internal.
+fmtcheck:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; \
+		echo "$$unformatted"; \
+		exit 1; \
+	fi
+
+apicheck:
+	@if grep -rn "repro/internal" cmd/ examples/; then \
+		echo "commands and examples must import only repro/outofssa"; \
+		exit 1; \
+	fi
+
+# Paper figures: Figures 5 and 7 must print identical bytes at 1 and 4
+# workers (the batch driver is deterministic), and Figure 6 must run.
+figcheck:
+	$(GO) build -o /tmp/ssabench ./cmd/ssabench
+	for fig in 5 7; do \
+		/tmp/ssabench -fig $$fig -scale 0.3 -workers 1 > /tmp/fig$$fig.w1 && \
+		/tmp/ssabench -fig $$fig -scale 0.3 -workers 4 > /tmp/fig$$fig.w4 && \
+		cmp /tmp/fig$$fig.w1 /tmp/fig$$fig.w4 || exit 1; \
+	done
+	/tmp/ssabench -fig 6 -scale 0.05 -reps 1 > /dev/null
+
+ci: fmtcheck vet build test race examples figcheck apicheck chaos

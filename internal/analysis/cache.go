@@ -90,33 +90,10 @@ type Cache struct {
 	liveSc  *liveness.Scratch
 	graphMD interference.GraphMode
 
-	// incremental enables dirty-set repair (EnableIncremental): liveness is
-	// computed with retained transfer state and patched from the function's
-	// dirty-block log when it goes stale, and the def-use index is patched
-	// likewise, instead of both being recomputed wholesale. Off by default —
-	// the retained state costs allocations the one-shot translation hot
-	// path must not pay.
-	incremental bool
-	dirtyBuf    []int32
-
 	// Hits and Misses count, per analysis, requests served from the cache
 	// and requests that (re)computed. The pipeline tests assert on them.
 	Hits, Misses [NumKinds]uint64
-	// Repairs counts stale entries brought current by dirty-set patching
-	// rather than recomputation (only ever non-zero after
-	// EnableIncremental). A repair also counts as a miss-avoided: it is
-	// reported separately, not folded into Hits.
-	Repairs [NumKinds]uint64
 }
-
-// EnableIncremental switches the cache into incremental mode: subsequent
-// liveness computations retain their transfer state
-// (liveness.ComputeIncremental) and def-use indexes build their repair
-// index, so when the function is edited through ir.Func.MarkBlockMutated
-// the stale entries are patched from the dirty-block log in time
-// proportional to the edit. Intended for long-lived analysis sessions over
-// a function being edited; one-shot translations should leave it off.
-func (c *Cache) EnableIncremental() { c.incremental = true }
 
 // NewCache returns an empty cache for f.
 func NewCache(f *ir.Func) *Cache { return &Cache{f: f} }
@@ -177,23 +154,11 @@ func (c *Cache) Dom() *dom.Tree {
 	return c.dom
 }
 
-// DefUse returns the def-use index of the current instructions. In
-// incremental mode a stale index whose staleness is fully attributed in
-// the dirty-block log is patched in place (RepairBlocks) instead of
-// rebuilt.
+// DefUse returns the def-use index of the current instructions.
 func (c *Cache) DefUse() *ir.DefUse {
 	if c.du != nil && c.valid(DefUse) {
 		c.Hits[DefUse]++
 		return c.du
-	}
-	if c.incremental && c.du != nil && c.du.Repairable() && c.validCFG(DefUse) {
-		if dirty, ok := c.f.DirtySince(c.at[DefUse].code, c.dirtyBuf[:0]); ok {
-			c.dirtyBuf = dirty
-			c.du.RepairBlocks(dirty)
-			c.Repairs[DefUse]++
-			c.at[DefUse] = c.now()
-			return c.du
-		}
 	}
 	c.Misses[DefUse]++
 	if c.st == nil {
@@ -202,9 +167,6 @@ func (c *Cache) DefUse() *ir.DefUse {
 		c.du = nil
 		c.st.du.Rebuild(c.f)
 		c.du = &c.st.du
-	}
-	if c.incremental {
-		c.du.EnableRepair()
 	}
 	c.at[DefUse] = c.now()
 	return c.du
@@ -232,24 +194,10 @@ func (c *Cache) Liveness(be liveness.Backend) *liveness.Info {
 		c.Hits[Liveness]++
 		return c.live
 	}
-	if c.incremental && c.live != nil && c.liveBE == be && c.live.Repairable() && c.validCFG(Liveness) {
-		if dirty, ok := c.f.DirtySince(c.at[Liveness].code, c.dirtyBuf[:0]); ok {
-			c.dirtyBuf = dirty
-			liveness.Repair(c.f, c.live, dirty)
-			c.Repairs[Liveness]++
-			c.at[Liveness] = c.now()
-			return c.live
-		}
-	}
 	c.Misses[Liveness]++
-	switch {
-	case c.incremental && c.liveSc != nil:
-		c.live = liveness.ComputeIncrementalInto(c.f, be, c.liveSc)
-	case c.incremental:
-		c.live = liveness.ComputeIncremental(c.f, be)
-	case c.liveSc != nil:
+	if c.liveSc != nil {
 		c.live = liveness.ComputeInto(c.f, be, c.liveSc)
-	default:
+	} else {
 		c.live = liveness.ComputeWith(c.f, be)
 	}
 	c.liveBE = be
@@ -302,29 +250,6 @@ func (c *Cache) GraphWith(mode interference.GraphMode, vals []ir.VarID, be liven
 func (c *Cache) Preserve(k Kind) {
 	if c.computed(k) {
 		c.at[k] = c.now()
-	}
-}
-
-// Invalidate drops analysis k regardless of generations.
-func (c *Cache) Invalidate(k Kind) {
-	switch k {
-	case Dom:
-		c.dom = nil
-	case DefUse:
-		c.du = nil
-	case Liveness:
-		c.live = nil
-	case LiveCheck:
-		c.lck = nil
-	case Graph:
-		c.graph = nil
-	}
-}
-
-// InvalidateAll drops every cached analysis.
-func (c *Cache) InvalidateAll() {
-	for k := Kind(0); k < NumKinds; k++ {
-		c.Invalidate(k)
 	}
 }
 

@@ -35,10 +35,6 @@ func (o *Ordered) Add(v int) bool {
 	return true
 }
 
-// Clear removes all elements, keeping the backing capacity. The liveness
-// repair path uses it to re-seed a retained set from its base contribution.
-func (o *Ordered) Clear() { o.elems = o.elems[:0] }
-
 // Remove deletes v if present. Reports whether the set changed.
 func (o *Ordered) Remove(v int) bool {
 	i := sort.Search(len(o.elems), func(i int) bool { return o.elems[i] >= int32(v) })

@@ -7,12 +7,12 @@ import (
 	"repro/internal/ssa"
 )
 
-// LargeProfile describes one synthetic large-CFG workload for the liveness
-// trajectory benchmarks: functions of thousands of blocks combining deeply
-// nested loops, wide switch-like dispatches whose arms all rejoin in one
-// block (many-predecessor joins → dense φ pressure after SSA construction),
-// and a pool of shared variables mutated everywhere so their live ranges
-// span most of the CFG.
+// LargeProfile describes one synthetic large-CFG workload for the large
+// corpora of outofssa/bench and perfbench: functions of thousands of
+// blocks combining deeply nested loops, wide switch-like dispatches whose
+// arms all rejoin in one block (many-predecessor joins → dense φ pressure
+// after SSA construction), and a pool of shared variables mutated
+// everywhere so their live ranges span most of the CFG.
 type LargeProfile struct {
 	Name string
 	Seed int64
@@ -31,7 +31,7 @@ type LargeProfile struct {
 	// FoldCopies is the per-copy probability that post-construction copy
 	// propagation folds it. Folding extends live ranges across the copy;
 	// the survivors stay in the program as coalescible affinities, so a
-	// *low* value yields the copy-dense shape the coalescing trajectory
+	// *low* value yields the copy-dense shape the coalescing corpus
 	// wants.
 	FoldCopies float64
 	// SwapShuffle is the per-loop-header probability of emitting a
@@ -44,8 +44,10 @@ type LargeProfile struct {
 	SwapShuffle float64
 }
 
-// LargeLivenessProfile returns the profile the BENCH_liveness trajectory
-// uses, scaled by scale (1 ≈ 4 functions of ~2000 blocks each).
+// LargeLivenessProfile returns the profile of bench.LivenessCorpus (the
+// liveness engines' golden counts, differential test and BenchmarkLiveness)
+// and of half of perfbench's batch-large corpus, scaled by scale (1 ≈ 4
+// functions of ~2000 blocks each).
 func LargeLivenessProfile(name string, seed int64, scale float64) LargeProfile {
 	blocks := int(2000 * scale)
 	if blocks < 64 {
@@ -58,10 +60,11 @@ func LargeLivenessProfile(name string, seed int64, scale float64) LargeProfile {
 	}
 }
 
-// LargeCoalesceProfile returns the profile of the BENCH_coalesce
-// trajectory: wider switch joins (wide φs), a larger shared-variable pool
-// (dense φ pressure), and most copies kept unfolded (dense affinities), at
-// a smaller block budget — coalescing work grows faster than block count.
+// LargeCoalesceProfile returns the profile of bench.CoalesceCorpus (the
+// coalescing golden counts, differential test and BenchmarkCoalesce):
+// wider switch joins (wide φs), a larger shared-variable pool (dense φ
+// pressure), and most copies kept unfolded (dense affinities), at a
+// smaller block budget — coalescing work grows faster than block count.
 // 1 ≈ 3 functions of ~800 blocks each.
 func LargeCoalesceProfile(name string, seed int64, scale float64) LargeProfile {
 	blocks := int(800 * scale)
@@ -75,13 +78,15 @@ func LargeCoalesceProfile(name string, seed int64, scale float64) LargeProfile {
 	}
 }
 
-// LargeTranslateProfile returns the profile of the BENCH_translate
-// trajectory: the end-to-end translation benchmark wants functions that
-// exercise every phase — φ pressure for copy insertion, kept copies for the
-// coalescer, and enough live-range interference (aggressive copy folding
-// extends ranges across the folded copies) that parallel copies survive
-// into the sequentializer — at a block budget small enough that all
-// Figure 5 strategies finish quickly. 1 ≈ 2 functions of ~500 blocks each.
+// LargeTranslateProfile returns the profile of bench.TranslateCorpus (the
+// end-to-end golden counts, allocation bounds and BenchmarkTranslate) and
+// of the other half of perfbench's batch-large corpus. End-to-end
+// translation wants functions that exercise every phase — φ pressure for
+// copy insertion, kept copies for the coalescer, and enough live-range
+// interference (aggressive copy folding extends ranges across the folded
+// copies) that parallel copies survive into the sequentializer — at a
+// block budget small enough that all Figure 5 strategies finish quickly.
+// 1 ≈ 2 functions of ~500 blocks each.
 func LargeTranslateProfile(name string, seed int64, scale float64) LargeProfile {
 	blocks := int(500 * scale)
 	if blocks < 40 {
@@ -94,13 +99,14 @@ func LargeTranslateProfile(name string, seed int64, scale float64) LargeProfile 
 	}
 }
 
-// LargeScaleProfile returns the profile of the BENCH_scale multicore
-// trajectory: a batch of medium functions — the per-function work grain of
-// a realistic compile batch — rather than a handful of huge ones, so a
-// worker sweep has enough independent units to schedule. scale multiplies
-// the per-function block budget; the function count stays fixed so the
-// dispatch shape (shards, steal opportunities) is comparable across
-// scales. 1 ≈ 30 functions of ~240 blocks each.
+// LargeScaleProfile returns the profile of the batch-driver tests (the
+// RunBatch allocation bounds of TestCorpusAllocs and the work-stealing
+// tests of internal/pipeline): a batch of medium functions — the
+// per-function work grain of a realistic compile batch — rather than a
+// handful of huge ones, so a worker sweep has enough independent units to
+// schedule. scale multiplies the per-function block budget; the function
+// count stays fixed so the dispatch shape (shards, steal opportunities) is
+// comparable across scales. 1 ≈ 30 functions of ~240 blocks each.
 func LargeScaleProfile(name string, seed int64, scale float64) LargeProfile {
 	blocks := int(240 * scale)
 	if blocks < 32 {
@@ -190,7 +196,7 @@ func (g *largeGen) function(idx int) *ir.Func {
 	}
 	g.body(0)
 	// Read every shared variable at the exit so all of them stay live
-	// across the whole CFG — the dense-set stress the trajectory wants.
+	// across the whole CFG — the dense-set stress these corpora want.
 	for _, v := range g.shared {
 		g.bd.Print(v)
 	}

@@ -93,7 +93,7 @@ func addDeadCopy(f *ir.Func, seed int64) {
 		at--
 	}
 	b.Instrs = append(b.Instrs[:at], append(ins, b.Instrs[at:]...)...)
-	f.MarkBlockMutated(b)
+	f.MarkCodeMutated()
 }
 
 // swapBranch rewrites the first conditional branch with distinct targets to

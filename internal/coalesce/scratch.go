@@ -7,8 +7,9 @@ import "repro/internal/ir"
 // virtualizer's per-φ item and member buffers, and the copy-sharing
 // post-pass's value index. A Scratch may be reused across functions of any
 // size but not concurrently; a nil Machinery.Scratch makes every phase
-// allocate fresh buffers (the pre-pooling behavior, kept as the reference
-// baseline of the translate trajectory).
+// allocate fresh buffers (the pre-pooling behavior, which the
+// ReferenceAlloc differential tests and BenchmarkTranslate's Reference
+// rows run).
 type Scratch struct {
 	// sortOrder buffers.
 	keys  []sortKey

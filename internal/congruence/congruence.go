@@ -40,8 +40,8 @@
 // collector. The per-variable arrays and the traversal scratch come from
 // the Pool too: a translator that keeps one Pool per worker (NewIn +
 // Retire) sizes them once instead of per function. The per-merge-allocating
-// baseline survives behind the Reference flag as the trajectory
-// benchmark's fixed comparison point.
+// baseline survives behind the Reference flag, which the differential
+// tests and BenchmarkCoalesce's Reference rows compare against.
 package congruence
 
 import (
@@ -62,8 +62,8 @@ type Classes struct {
 
 	// Reference disables the scratch reuse: every merge allocates a fresh
 	// exact-size member list and every traversal a fresh stack, as the
-	// pre-pooling implementation did. The coalescing trajectory benchmark
-	// measures against it.
+	// pre-pooling implementation did. The differential tests and
+	// BenchmarkCoalesce's Reference rows run against it.
 	Reference bool
 
 	// Tests counts variable-to-variable intersection tests issued by the

@@ -83,8 +83,8 @@ func (c *Classes) link(ra, rb ir.VarID, merged []ir.VarID) ir.VarID {
 // occupant is never overwritten before it is read); otherwise it goes to a
 // free-listed or fresh array with append-style headroom, so a class absorbs
 // many merges per allocation. Under Reference every merge allocates a fresh
-// exact-size list — the pre-pooling behaviour the trajectory benchmark
-// compares against.
+// exact-size list — the pre-pooling behaviour the differential tests and
+// BenchmarkCoalesce's Reference rows compare against.
 func (c *Classes) mergeRoots(ra, rb ir.VarID) []ir.VarID {
 	x, y := c.Members(ra), c.Members(rb)
 	need := len(x) + len(y)

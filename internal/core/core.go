@@ -117,20 +117,21 @@ type Options struct {
 	// pre-optimization implementations (linear use-list scans, per-query
 	// def-point derivation, per-merge class allocation). Results are
 	// identical; only cost differs. It exists for the differential oracle
-	// tests and as the fixed baseline of the coalescing trajectory
-	// benchmark (BENCH_coalesce.json).
+	// tests (TestStrategiesReferenceOracle, FuzzTranslate).
 	ReferenceQueries bool
 	// ReferenceAlloc runs the mutation phases without any pooled working
 	// state: a fresh Insertion per translation, freshly allocated coalescer
 	// buffers and congruence list storage, the kept map-based parallel-copy
 	// sequentializer, and the double-copy instruction splice. No pooled
 	// Scratch is attached. Results are identical; only allocation traffic
-	// differs. It is the fixed baseline of the translate trajectory
-	// benchmark (BENCH_translate.json), isolating the pooling/reuse delta;
-	// structural improvements shared by both engines (slab-allocated IR,
-	// CSR-built def-use and sharing indexes, the value-slice virtualizer)
-	// benefit the reference rows too, so the measured gap understates the
-	// distance to the true pre-PR code.
+	// differs. It is the differential oracle of the pooled path
+	// (TestReferenceAllocMatchesPooled, TestTranslateEnginesAgree,
+	// FuzzTranslate) and the Reference rows of BenchmarkTranslate, which
+	// isolate the pooling/reuse delta; structural improvements shared by
+	// both engines (slab-allocated IR, CSR-built def-use and sharing
+	// indexes, the value-slice virtualizer) benefit the reference rows too,
+	// so the measured gap understates the distance to the pre-pooling
+	// code.
 	ReferenceAlloc bool
 }
 

@@ -94,7 +94,7 @@ func TestMemoKeySeparatesOptions(t *testing.T) {
 	}
 	g := ir.MustParse(memoSrc)
 	g.Entry().Instrs[0].Aux = 1
-	g.MarkBlockMutated(g.Entry())
+	g.MarkCodeMutated()
 	if MemoKeyFor(g, Options{Strategy: Sharing, Linear: true}) == a {
 		t.Fatal("structurally different inputs collided")
 	}
@@ -131,7 +131,7 @@ func TestMemoEviction(t *testing.T) {
 	store := func(aux int64) MemoKey {
 		f := ir.MustParse(memoSrc)
 		f.Entry().Instrs[0].Aux = aux
-		f.MarkBlockMutated(f.Entry())
+		f.MarkCodeMutated()
 		key := MemoKeyFor(f, opt)
 		inVars := len(f.Vars)
 		st := memoTranslate(t, f, opt)
@@ -162,7 +162,7 @@ func TestMemoEviction(t *testing.T) {
 	store2 := func(aux int64) {
 		f := ir.MustParse(memoSrc)
 		f.Entry().Instrs[0].Aux = aux
-		f.MarkBlockMutated(f.Entry())
+		f.MarkCodeMutated()
 		key := MemoKeyFor(f, opt)
 		inVars := len(f.Vars)
 		st := memoTranslate(t, f, opt)

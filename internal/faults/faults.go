@@ -1,6 +1,6 @@
 // Package faults is the repo-wide failpoint framework: named injection
 // points compiled into the production code paths (parser, pass pipeline,
-// translation memo, bench store, every serve handler stage) that are inert
+// translation memo, every serve handler stage) that are inert
 // until a test — or the ssad -faults flag — arms them with a deterministic,
 // seeded schedule. The chaos suite drives the serving stack while these
 // points fire to prove the resilience layer: a daemon that stays up, books

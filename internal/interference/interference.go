@@ -23,8 +23,9 @@
 // the Checker, with a sentinel for "no definition") instead of chasing
 // HasDef and DefBlock→PreOrder indirections on every call. The
 // pre-optimization implementations survive as the *Reference methods —
-// the differential oracle of the tests and of the coalescing trajectory
-// benchmark — and the Reference flag reroutes the whole checker to them.
+// the differential oracle of the tests, timed by BenchmarkCoalesce's
+// Reference rows — and the Reference flag reroutes the whole checker to
+// them.
 package interference
 
 import (
@@ -57,8 +58,8 @@ type Checker struct {
 
 	// Reference answers every query with the pre-optimization
 	// implementations (linear use-list scans, per-query def-point
-	// derivation). Semantics are identical; only cost differs. It is the
-	// kept baseline of the coalescing trajectory benchmark.
+	// derivation). Semantics are identical; only cost differs. The
+	// differential tests and BenchmarkCoalesce's Reference rows use it.
 	Reference bool
 
 	// Keys, when non-nil, supplies the storage of the def-point key cache

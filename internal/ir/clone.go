@@ -12,9 +12,9 @@ func Clone(f *Func) *Func {
 // CloneInto rebuilds dst as a deep copy of src and returns dst. All of
 // dst's previous contents are discarded; its block records, slice backing
 // arrays, and arenas are reused, so in steady state — cloning the same
-// pristine template into the same destination between translations, the
-// batch pattern of the translate trajectory — the copy performs no heap
-// allocation at all. dst and src must be different functions, and nothing
+// pristine template into the same destination between translations, as
+// perfbench and BenchmarkTranslate restore their inputs — the copy
+// performs no heap allocation at all. dst and src must be different functions, and nothing
 // may retain pointers into dst's previous incarnation.
 func CloneInto(dst, src *Func) *Func {
 	if dst == src {

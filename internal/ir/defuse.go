@@ -48,10 +48,6 @@ type DefUse struct {
 	// counts and the array the use lists are carved from.
 	counts  []int32
 	backing []UseSite
-
-	// rep, when non-nil, is the opt-in patch-repair state (EnableRepair /
-	// RepairBlocks in defuse_repair.go).
-	rep *duRepair
 }
 
 // NewDefUse builds the index. The function must be in SSA form (each
@@ -79,7 +75,7 @@ func reuse[T any](s []T, n int) []T {
 // Rebuild indexes f in place, reusing du's arrays, so a batch worker
 // indexes every function it translates in the same memory. Like NewDefUse
 // it panics on a second definition, leaving du unusable until the next
-// successful Rebuild. Repair state (EnableRepair) is dropped.
+// successful Rebuild.
 //
 // The use lists are carved out of one shared backing array: a counting pass
 // sizes every variable's region, a fill pass appends into it. Building the
@@ -90,7 +86,6 @@ func reuse[T any](s []T, n int) []T {
 func (du *DefUse) Rebuild(f *Func) {
 	n := len(f.Vars)
 	du.f = f
-	du.rep = nil
 	du.defBlock = reuse(du.defBlock, n)
 	du.defSlot = reuse(du.defSlot, n)
 	du.defInstr = reuse(du.defInstr, n)

@@ -42,35 +42,15 @@ func (h *fpLanes) str(s string) {
 }
 
 // Fingerprint returns the function's structural hash. The result is cached
-// against the generation counters, and when the edits since the last
-// computation are fully attributed in the dirty-block log (MarkBlockMutated
-// with no intervening wholesale mutation or CFG change), only the touched
-// blocks are re-hashed: each block contributes one summand per lane, so the
-// total is patched by subtracting the stale contributions and adding the
-// fresh ones. Anything else falls back to a full pass over the function.
+// against the generation counters, so asking again before the next
+// mutation is free; any mutation recomputes it in one pass. The value is
+// the wrapping sum, per lane, of a header hash and one summand per block —
+// memo keys persisted by ssad -memo-file depend on that exact value
+// (TestFingerprintGolden pins it).
 func (f *Func) Fingerprint() Fingerprint {
 	if f.fpValid && f.fpCFG == f.cfgGen && f.fpCode == f.codeGen {
 		return f.fp
 	}
-	if f.fpValid && f.fpCFG == f.cfgGen && f.fpNVars == len(f.Vars) {
-		if dirty, ok := f.DirtySince(f.fpCode, nil); ok {
-			for _, b := range dirty {
-				old := f.fpBlocks[b]
-				nw := blockLanes(f.Blocks[b])
-				f.fpBlocks[b] = nw
-				f.fp.Hi += nw[0] - old[0]
-				f.fp.Lo += nw[1] - old[1]
-			}
-			f.fpCode = f.codeGen
-			return f.fp
-		}
-	}
-	f.fingerprintFull()
-	return f.fp
-}
-
-// fingerprintFull recomputes the header and every per-block contribution.
-func (f *Func) fingerprintFull() {
 	h := newFPLanes()
 	h.word(uint64(f.NumParams))
 	h.word(uint64(len(f.Vars)))
@@ -83,29 +63,22 @@ func (f *Func) fingerprintFull() {
 			h.str(v.Reg)
 		}
 	}
-	f.fpHdrHi, f.fpHdrLo = h.hi, h.lo
-
-	if cap(f.fpBlocks) < len(f.Blocks) {
-		f.fpBlocks = make([][2]uint64, len(f.Blocks))
-	}
-	f.fpBlocks = f.fpBlocks[:len(f.Blocks)]
-	hi, lo := f.fpHdrHi, f.fpHdrLo
-	for i, b := range f.Blocks {
+	fp := Fingerprint{Hi: h.hi, Lo: h.lo}
+	for _, b := range f.Blocks {
 		bl := blockLanes(b)
-		f.fpBlocks[i] = bl
-		hi += bl[0]
-		lo += bl[1]
+		fp.Hi += bl.hi
+		fp.Lo += bl.lo
 	}
-	f.fp = Fingerprint{Hi: hi, Lo: lo}
+	f.fp = fp
 	f.fpCFG, f.fpCode = f.cfgGen, f.codeGen
-	f.fpNVars = len(f.Vars)
 	f.fpValid = true
+	return fp
 }
 
 // blockLanes hashes one block's structure into a per-lane summand. The
-// block's own position seeds the lanes, so the wrapping sum over blocks
-// stays position-sensitive while remaining patchable per block.
-func blockLanes(b *Block) [2]uint64 {
+// block's own position seeds the lanes, so the wrapping sum over blocks is
+// position-sensitive.
+func blockLanes(b *Block) fpLanes {
 	h := newFPLanes()
 	h.word(uint64(b.ID))
 	h.word(math.Float64bits(b.Freq))
@@ -125,7 +98,7 @@ func blockLanes(b *Block) [2]uint64 {
 	for _, in := range b.Instrs {
 		instrLanes(&h, in)
 	}
-	return [2]uint64{h.hi, h.lo}
+	return h
 }
 
 func instrLanes(h *fpLanes, in *Instr) {

@@ -70,16 +70,16 @@ func TestFingerprintStructuralSensitivity(t *testing.T) {
 		e.Instrs = append(e.Instrs[:len(e.Instrs)-1],
 			&ir.Instr{Op: ir.OpConst, Defs: []ir.VarID{v}, Aux: 9},
 			e.Instrs[len(e.Instrs)-1])
-		f.MarkBlockMutated(e)
+		f.MarkCodeMutated()
 	})
 	edit("changed aux", func(f *ir.Func) {
 		f.Blocks[1].Instrs[0].Aux = 42
-		f.MarkBlockMutated(f.Blocks[1])
+		f.MarkCodeMutated()
 	})
 	edit("changed operand", func(f *ir.Func) {
 		in := f.Blocks[1].Instrs[1] // a = add x one
 		in.Uses[0] = in.Uses[1]
-		f.MarkBlockMutated(f.Blocks[1])
+		f.MarkCodeMutated()
 	})
 	edit("swapped successors", func(f *ir.Func) {
 		e := f.Entry()
@@ -92,18 +92,18 @@ func TestFingerprintStructuralSensitivity(t *testing.T) {
 	})
 	edit("block frequency", func(f *ir.Func) {
 		f.Blocks[1].Freq = 100
-		f.MarkBlockMutated(f.Blocks[1])
+		f.MarkCodeMutated()
 	})
 }
 
-// TestFingerprintIncrementalMatchesFull: a fingerprint patched from the
-// dirty-block log must equal the from-scratch fingerprint of the same
-// structure (computed on a clone, whose poisoned log forces the full path).
-func TestFingerprintIncrementalMatchesFull(t *testing.T) {
+// TestFingerprintCacheInvalidation: the cached fingerprint must follow
+// every marked edit — after MarkCodeMutated it equals the fingerprint of a
+// fresh clone of the edited function, never the stale cached value.
+func TestFingerprintCacheInvalidation(t *testing.T) {
 	f := ir.MustParse(fpDiamondSrc)
 	rng := rand.New(rand.NewSource(41))
 	for step := 0; step < 40; step++ {
-		_ = f.Fingerprint() // seed/refresh the per-block summand cache
+		before := f.Fingerprint() // fill the cache
 		b := f.Blocks[rng.Intn(len(f.Blocks))]
 		n := len(b.Instrs)
 		switch rng.Intn(2) {
@@ -112,151 +112,82 @@ func TestFingerprintIncrementalMatchesFull(t *testing.T) {
 				&ir.Instr{Op: ir.OpConst, Defs: []ir.VarID{0}, Aux: int64(step)},
 				b.Instrs[n-1])
 		case 1:
-			b.Instrs[0].Aux = int64(rng.Intn(1000))
+			b.Instrs[0].Aux = int64(1000 + step)
 		}
-		f.MarkBlockMutated(b)
+		f.MarkCodeMutated()
 
-		got := f.Fingerprint() // incremental: valid cache + dirty log
+		got := f.Fingerprint()
 		want := ir.Clone(f).Fingerprint()
 		if got != want {
-			t.Fatalf("step %d: incremental fingerprint %v != full %v", step, got, want)
+			t.Fatalf("step %d: cached fingerprint %v != fresh clone's %v", step, got, want)
+		}
+		if got == before {
+			t.Fatalf("step %d: edit did not move the fingerprint", step)
 		}
 	}
 }
 
-// TestDirtySince covers the dirty-block log contract: per-block records
-// until capacity, wholesale poisoning by code/CFG marks, and the ok=false
-// signal for generations before the floor.
-func TestDirtySince(t *testing.T) {
-	f := ir.MustParse(fpDiamondSrc)
-
-	// The parse itself mutated wholesale; a generation captured now is at
-	// the floor and usable.
-	g := f.CodeGen()
-	if dirty, ok := f.DirtySince(g, nil); !ok || len(dirty) != 0 {
-		t.Fatalf("clean function: dirty=%v ok=%v", dirty, ok)
-	}
-
-	f.MarkBlockMutated(f.Blocks[1])
-	f.MarkBlockMutated(f.Blocks[2])
-	f.MarkBlockMutated(f.Blocks[1]) // duplicate must dedupe
-	dirty, ok := f.DirtySince(g, nil)
-	if !ok || len(dirty) != 2 {
-		t.Fatalf("after two block edits: dirty=%v ok=%v", dirty, ok)
-	}
-	seen := map[int32]bool{dirty[0]: true, dirty[1]: true}
-	if !seen[1] || !seen[2] {
-		t.Fatalf("wrong dirty blocks: %v", dirty)
-	}
-
-	// A wholesale code mark poisons every older generation.
-	f.MarkCodeMutated()
-	if _, ok := f.DirtySince(g, nil); ok {
-		t.Fatal("generation before a wholesale mark must not be repairable")
-	}
-	g = f.CodeGen()
-	if dirty, ok := f.DirtySince(g, nil); !ok || len(dirty) != 0 {
-		t.Fatalf("fresh generation after poison: dirty=%v ok=%v", dirty, ok)
-	}
-
-	// Overflowing the log poisons too.
-	for i := 0; i < 100; i++ {
-		f.MarkBlockMutated(f.Blocks[0])
-	}
-	if _, ok := f.DirtySince(g, nil); ok {
-		t.Fatal("overflowed log must report not-repairable")
-	}
-}
-
-// TestDefUseRepairMatchesFresh: random additive edit sequences, repaired
-// via RepairBlocks from the dirty set, must leave the index identical to a
-// from-scratch NewDefUse — including φ uses recorded at predecessor blocks.
-func TestDefUseRepairMatchesFresh(t *testing.T) {
-	srcs := []string{fpDiamondSrc, `
-func l {
+// TestFingerprintGolden pins the hash value itself. Memo keys are
+// fingerprints and ssad -memo-file persists them, so a rewrite of the hash
+// that changed its value would silently turn every snapshot entry into a
+// miss. The literals must never change.
+func TestFingerprintGolden(t *testing.T) {
+	const pinnedSrc = `
+func pinned {
 entry:
   a = param 0
-  b = const 1
-  jump head
-head:
-  x = phi entry:a latch:y
-  c = cmplt x b
-  br c body exit
-body:
-  y = add x b
-  jump latch
-latch:
-  print y
-  jump head
-exit:
-  print a
-  ret x
+  b = param 1
+  c = add a b
+  jump loop
+loop (freq 8):
+  d = phi entry:c loop:e
+  e = sub d b
+  f = cmplt e a
+  br f loop exit
+exit (freq 0.5):
+  ret e
 }
-`}
-	for _, src := range srcs {
-		f := ir.MustParse(src)
-		du := ir.NewDefUse(f)
-		du.EnableRepair()
-		rng := rand.New(rand.NewSource(17))
-		params := []ir.VarID{f.Blocks[0].Instrs[0].Defs[0]} // entry-defined, dominates everything
-
-		g := f.CodeGen()
-		for step := 0; step < 60; step++ {
-			b := f.Blocks[rng.Intn(len(f.Blocks))]
-			n := len(b.Instrs)
-			switch rng.Intn(3) {
-			case 0: // fresh def + use
-				v := f.NewDerivedVar(params[0])
-				b.Instrs = append(b.Instrs[:n-1],
-					&ir.Instr{Op: ir.OpCopy, Defs: []ir.VarID{v}, Uses: []ir.VarID{params[0]}},
-					b.Instrs[n-1])
-			case 1: // extra use of an entry-dominating var
-				b.Instrs = append(b.Instrs[:n-1],
-					&ir.Instr{Op: ir.OpPrint, Uses: []ir.VarID{params[rng.Intn(len(params))]}},
-					b.Instrs[n-1])
-			case 2: // retarget an existing non-φ use
-				for _, in := range b.Instrs {
-					if in.Op == ir.OpPrint {
-						in.Uses[0] = params[rng.Intn(len(params))]
-						break
-					}
-				}
-			}
-			// NewVar (case 0) poisons the log wholesale; re-anchor the
-			// generation on those steps and repair the block directly.
-			dirty, ok := f.DirtySince(g, nil)
-			if !ok {
-				dirty = []int32{int32(b.ID)}
-			}
-			f.MarkBlockMutated(b)
-			if d2, ok2 := f.DirtySince(g, nil); ok2 {
-				dirty = d2
-			}
-			du.RepairBlocks(dirty)
-			g = f.CodeGen()
-
-			want := ir.NewDefUse(f)
-			for v := range f.Vars {
-				vid := ir.VarID(v)
-				if du.HasDef(vid) != want.HasDef(vid) {
-					t.Fatalf("step %d: var %s HasDef mismatch", step, f.VarName(vid))
-				}
-				if du.HasDef(vid) && (du.DefBlock(vid) != want.DefBlock(vid) || du.DefSlot(vid) != want.DefSlot(vid)) {
-					t.Fatalf("step %d: var %s def site mismatch: (%d,%d) vs (%d,%d)",
-						step, f.VarName(vid), du.DefBlock(vid), du.DefSlot(vid),
-						want.DefBlock(vid), want.DefSlot(vid))
-				}
-				a, w := du.Uses(vid), want.Uses(vid)
-				if len(a) != len(w) {
-					t.Fatalf("step %d: var %s has %d uses, want %d", step, f.VarName(vid), len(a), len(w))
-				}
-				for i := range a {
-					if a[i].Block != w[i].Block || a[i].Slot != w[i].Slot {
-						t.Fatalf("step %d: var %s use %d at (%d,%d), want (%d,%d)",
-							step, f.VarName(vid), i, a[i].Block, a[i].Slot, w[i].Block, w[i].Slot)
-					}
-				}
-			}
+`
+	const parcopySrc = `
+func pc {
+entry:
+  a = param 0
+  b = param 1
+  z = const 0
+  c = cmplt a z
+  br c left right
+left:
+  parcopy x:a y:b
+  jump join
+right:
+  parcopy x2:b y2:a
+  jump join
+join:
+  p = phi left:x right:x2
+  q = phi left:y right:y2
+  r = sub p q
+  print r
+  ret r
+}
+`
+	for _, tc := range []struct {
+		name string
+		src  string
+		pin  bool // pin variable 1 to register R1
+		want ir.Fingerprint
+	}{
+		{"diamond", fpDiamondSrc, false, ir.Fingerprint{Hi: 0x15bb9f87241488cf, Lo: 0xafca383312432f01}},
+		{"pinned-freq", pinnedSrc, true, ir.Fingerprint{Hi: 0x20e83b6b891df906, Lo: 0x1f41e821fe9338d6}},
+		{"phi-parcopy", parcopySrc, false, ir.Fingerprint{Hi: 0x2621360aefd93d3e, Lo: 0x58524f8e6820cf50}},
+	} {
+		f := ir.MustParse(tc.src)
+		if tc.pin {
+			f.Vars[1].Reg = "R1"
+			f.MarkCodeMutated()
+		}
+		if got := f.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint {Hi: %#016x, Lo: %#016x}, want {Hi: %#016x, Lo: %#016x}",
+				tc.name, got.Hi, got.Lo, tc.want.Hi, tc.want.Lo)
 		}
 	}
 }

@@ -205,23 +205,11 @@ type Func struct {
 	cfgGen  uint64
 	codeGen uint64
 
-	// Dirty-block log: MarkBlockMutated appends one record per attributed
-	// instruction-level edit, so analyses can repair themselves from the
-	// exact set of touched blocks instead of recomputing (DirtySince). A
-	// wholesale MarkCodeMutated/MarkCFGMutated — or a log overflow — raises
-	// dirtyFloor to the current code generation, poisoning every older
-	// baseline back to full recomputation.
-	dirtyLog   []dirtyRec
-	dirtyFloor uint64
-
 	// Cached structural fingerprint (see fingerprint.go), valid while both
 	// generations still match fpCFG/fpCode.
-	fp               Fingerprint
-	fpCFG, fpCode    uint64
-	fpValid          bool
-	fpBlocks         [][2]uint64 // per-block hash lanes, for incremental update
-	fpHdrHi, fpHdrLo uint64      // header (vars/params) contribution
-	fpNVars          int         // var-universe size the header was hashed at
+	fp            Fingerprint
+	fpCFG, fpCode uint64
+	fpValid       bool
 
 	// Chunked arenas backing the function's Instr/Var records and small
 	// operand slices (see slab.go). Their memory lives as long as the
@@ -248,74 +236,12 @@ func (f *Func) CodeGen() uint64 { return f.codeGen }
 func (f *Func) MarkCFGMutated() {
 	f.cfgGen++
 	f.codeGen++
-	f.dirtyFloor = f.codeGen
-	f.dirtyLog = f.dirtyLog[:0]
 }
 
 // MarkCodeMutated records a change to instructions or variables that left
 // the block/edge structure intact (dominance stays valid, def-use and
-// liveness do not). The change is unattributed: any baseline older than
-// this generation can no longer be repaired from the dirty log.
-func (f *Func) MarkCodeMutated() {
-	f.codeGen++
-	f.dirtyFloor = f.codeGen
-	f.dirtyLog = f.dirtyLog[:0]
-}
-
-// dirtyRec is one dirty-log entry: block b was edited at code generation g.
-type dirtyRec struct {
-	gen   uint64
-	block int32
-}
-
-// dirtyLogCap bounds the log; beyond it, per-block attribution stops paying
-// for itself and the log degenerates to a wholesale invalidation.
-const dirtyLogCap = 64
-
-// MarkBlockMutated records an instruction-level edit attributed to block b:
-// φ or body contents changed, but the block/edge structure did not. Unlike
-// MarkCodeMutated, analyses that saw an earlier generation can repair
-// themselves from the touched-block set (DirtySince) instead of
-// recomputing. An edit that also changes the variable universe must mint
-// the variables first (NewVar poisons the log) and then mark the edited
-// blocks.
-func (f *Func) MarkBlockMutated(b *Block) {
-	f.codeGen++
-	if len(f.dirtyLog) >= dirtyLogCap {
-		f.dirtyFloor = f.codeGen
-		f.dirtyLog = f.dirtyLog[:0]
-		return
-	}
-	f.dirtyLog = append(f.dirtyLog, dirtyRec{gen: f.codeGen, block: int32(b.ID)})
-}
-
-// DirtySince returns the deduplicated IDs of the blocks edited after code
-// generation g, appended to dst. ok is false when the edits since g are not
-// fully attributed (a wholesale mutation or log overflow intervened) — the
-// caller must fall back to recomputation. A valid baseline with no edits
-// returns (dst, true).
-func (f *Func) DirtySince(g uint64, dst []int32) (dirty []int32, ok bool) {
-	if g < f.dirtyFloor {
-		return dst, false
-	}
-	base := len(dst)
-	for _, rec := range f.dirtyLog {
-		if rec.gen <= g {
-			continue
-		}
-		dup := false
-		for _, b := range dst[base:] {
-			if b == rec.block {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, rec.block)
-		}
-	}
-	return dst, true
-}
+// liveness do not).
+func (f *Func) MarkCodeMutated() { f.codeGen++ }
 
 // NewFunc returns an empty function.
 func NewFunc(name string) *Func { return &Func{Name: name} }

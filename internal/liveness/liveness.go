@@ -86,17 +86,7 @@ type Info struct {
 	// reference engine reports passes × blocks. Diagnostics — the property
 	// tests assert it stays bounded.
 	Pops int
-
-	// rep, when non-nil, is the retained state of an incremental
-	// computation (ComputeIncremental): private transfer sets, the seed
-	// order, and direct access to the backend storage, everything Repair
-	// needs to patch the solution after a local edit.
-	rep *repairState
 }
-
-// Repairable reports whether this Info was computed incrementally and can
-// be patched by Repair.
-func (l *Info) Repairable() bool { return l.rep != nil }
 
 // Scratch holds the reusable working state of one liveness run: the
 // per-block upward-exposed/def/φ-edge sets, the worklist, the seed order,
@@ -125,14 +115,6 @@ func (sc *Scratch) prepare(n, nv int) (ue, df, po []*bitset.Set) {
 	for _, s := range sc.sets[:3*n] {
 		s.Reset(nv) // exact capacity: it propagates into the result sets
 	}
-	sc.prepareWork(n)
-	return sc.sets[:n], sc.sets[n : 2*n], sc.sets[2*n : 3*n]
-}
-
-// prepareWork sizes and clears only the order/worklist/visit buffers — the
-// part of prepare the incremental path reuses when the transfer sets live
-// in retained, caller-owned storage instead of the scratch.
-func (sc *Scratch) prepareWork(n int) {
 	if cap(sc.order) < n {
 		sc.order = make([]int32, 0, n)
 		sc.work = make([]int32, 0, n)
@@ -150,6 +132,7 @@ func (sc *Scratch) prepareWork(n int) {
 		sc.visits[i] = 0
 		sc.dfsNext[i] = 0
 	}
+	return sc.sets[:n], sc.sets[n : 2*n], sc.sets[2*n : 3*n]
 }
 
 // Compute runs the analysis on f with bit-set storage.
@@ -272,7 +255,7 @@ func seedOrder(f *ir.Func, sc *Scratch) {
 // sets are carved out of one batch backing (two allocations for all 2n
 // sets) and the interface wrappers live in one slice, so constructing the
 // result costs a constant number of allocations.
-func computeBitsets(f *ir.Func, info *Info, sc *Scratch, ue, df, po []*bitset.Set) []bitset.Set {
+func computeBitsets(f *ir.Func, info *Info, sc *Scratch, ue, df, po []*bitset.Set) {
 	n := len(f.Blocks)
 	nv := len(f.Vars)
 	sets := bitset.NewBatch(nv, 2*n) // [0,n) live-in, [n,2n) live-out
@@ -293,14 +276,13 @@ func computeBitsets(f *ir.Func, info *Info, sc *Scratch, ue, df, po []*bitset.Se
 		}
 		return sets[b].UnionWithAndNot(out, df[b])
 	})
-	return sets
 }
 
 // computeOrdered runs the same worklist with sorted-slice storage. The
 // static ue/φ-edge contributions are snapshotted once as sorted slices so
 // the per-visit transfers are linear merges. Like the bit-set backend, the
 // Ordered headers and interface wrappers come from two batch slices.
-func computeOrdered(f *ir.Func, info *Info, sc *Scratch, ue, df, po []*bitset.Set) []bitset.Ordered {
+func computeOrdered(f *ir.Func, info *Info, sc *Scratch, ue, df, po []*bitset.Set) {
 	n := len(f.Blocks)
 	sets := make([]bitset.Ordered, 2*n) // [0,n) live-in, [n,2n) live-out
 	wrap := make([]ordSet, 2*n)
@@ -323,7 +305,6 @@ func computeOrdered(f *ir.Func, info *Info, sc *Scratch, ue, df, po []*bitset.Se
 		}
 		return sets[b].UnionWithAndNot(out, df[b])
 	})
-	return sets
 }
 
 // appendElems appends the elements of s to dst in increasing order (ForEach
@@ -367,8 +348,8 @@ func (sc *Scratch) runWorklist(f *ir.Func, info *Info, visit func(b int) bool) {
 // ComputeReference runs the pre-worklist engine: a naive round-robin
 // fixpoint in reverse block order with element-wise transfers. It is kept
 // as the differential-testing oracle for the worklist engine (and as the
-// baseline of the BENCH_liveness trajectory); results are identical, only
-// speed differs.
+// Reference row of BenchmarkLiveness); results are identical, only speed
+// differs.
 func ComputeReference(f *ir.Func, be Backend) *Info {
 	n := len(f.Blocks)
 	nv := len(f.Vars)

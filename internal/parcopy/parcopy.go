@@ -11,7 +11,7 @@
 // batch translation sequentializes thousands of parallel copies without
 // allocating per copy. The pre-scratch map-based implementation is kept as
 // SequentializeReference: it is the differential oracle of the scratch
-// engine and the fixed baseline of the translate trajectory benchmark.
+// engine and part of the ReferenceAlloc path BenchmarkTranslate times.
 package parcopy
 
 import (

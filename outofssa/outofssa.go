@@ -135,8 +135,7 @@ type Result struct {
 }
 
 // CacheStats counts analysis-cache requests over one or more translations:
-// Hits were served from the per-function cache, Misses (re)computed,
-// Repairs patched in place from the dirty-block log (incremental mode).
+// Hits were served from the per-function cache, Misses (re)computed.
 // MemoHits/MemoMisses count translation-memo lookups (WithMemo) — a memo
 // hit replaces the whole pipeline, so its run contributes no analysis
 // hits or misses. The zero value is ready to use; Add folds another value
@@ -144,9 +143,6 @@ type Result struct {
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
-	// Repairs counts stale analyses brought current by dirty-set patching
-	// instead of recomputation.
-	Repairs uint64
 	// MemoHits and MemoMisses count translation-memo lookups.
 	MemoHits   uint64
 	MemoMisses uint64
@@ -156,7 +152,6 @@ type CacheStats struct {
 func (c *CacheStats) Add(st CacheStats) {
 	c.Hits += st.Hits
 	c.Misses += st.Misses
-	c.Repairs += st.Repairs
 	c.MemoHits += st.MemoHits
 	c.MemoMisses += st.MemoMisses
 }
@@ -194,9 +189,6 @@ func resultOf(f *Func, pctx *pipeline.Context, err error) Result {
 			}
 			for _, m := range pctx.Cache.Misses {
 				r.Cache.Misses += m
-			}
-			for _, rp := range pctx.Cache.Repairs {
-				r.Cache.Repairs += rp
 			}
 		}
 		if pctx.MemoChecked {

@@ -1,6 +1,6 @@
 // Package client is the typed Go client of the ssad translation daemon
 // (outofssa/serve): single translations, NDJSON-streamed batches with a
-// per-item callback, and stats scraping. The load generator cmd/ssaload
+// per-item callback, and stats scraping. perfbench's serve-mixed workload
 // and the serve tests are its consumers.
 package client
 
@@ -19,13 +19,13 @@ import (
 	"repro/outofssa/serve"
 )
 
-// Client talks to one daemon. The zero value is not usable; use New. A
-// plain Client performs exactly one HTTP attempt per call; WithRetry
-// derives one that retries transient failures under a RetryPolicy.
+// Client talks to one daemon. The zero value is not usable; use New. Every
+// call makes exactly one HTTP request and never retries: a shed request
+// (HTTP 429) comes back as an *APIError whose RetryAfter carries the
+// server's hint (IsOverloaded), and backing off is the caller's choice.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry *RetryPolicy
+	base string
+	hc   *http.Client
 }
 
 // New builds a client for the daemon at baseURL (e.g.
@@ -61,22 +61,8 @@ func IsOverloaded(err error) (time.Duration, bool) {
 	return 0, false
 }
 
-// Translate submits one function. Under WithRetry, transient failures are
-// retried and — when the policy sets Hedge — a slow attempt races a
-// hedged duplicate (translation is pure, so duplicates are safe).
+// Translate submits one function.
 func (c *Client) Translate(ctx context.Context, req serve.TranslateRequest) (*serve.TranslateResponse, error) {
-	if c.retry == nil {
-		return c.translateOnce(ctx, req)
-	}
-	if c.retry.Hedge > 0 {
-		return c.translateHedged(ctx, req)
-	}
-	return retryLoop(ctx, c.retry, func() (*serve.TranslateResponse, error) {
-		return c.translateOnce(ctx, req)
-	})
-}
-
-func (c *Client) translateOnce(ctx context.Context, req serve.TranslateRequest) (*serve.TranslateResponse, error) {
 	resp, err := c.post(ctx, "/v1/translate", req)
 	if err != nil {
 		return nil, err
@@ -98,29 +84,7 @@ func (c *Client) translateOnce(ctx context.Context, req serve.TranslateRequest) 
 // server-side remainder). The returned summary is the server's trailer
 // line; a stream that ended without one returns an error — the batch was
 // cut short.
-//
-// Under WithRetry only failures from before the first delivered item are
-// retried: once item has been called, a retry would replay results the
-// caller already consumed, so mid-stream failures surface immediately.
 func (c *Client) Batch(ctx context.Context, req serve.TranslateRequest, item func(serve.BatchItem) error) (*serve.BatchSummary, error) {
-	if c.retry == nil {
-		return c.batchOnce(ctx, req, item)
-	}
-	var delivered bool
-	wrapped := func(it serve.BatchItem) error {
-		delivered = true
-		if item == nil {
-			return nil
-		}
-		return item(it)
-	}
-	return retryLoopIf(ctx, c.retry, func() (*serve.BatchSummary, error) {
-		delivered = false
-		return c.batchOnce(ctx, req, wrapped)
-	}, func() bool { return !delivered })
-}
-
-func (c *Client) batchOnce(ctx context.Context, req serve.TranslateRequest, item func(serve.BatchItem) error) (*serve.BatchSummary, error) {
 	resp, err := c.post(ctx, "/v1/batch", req)
 	if err != nil {
 		return nil, err
@@ -162,17 +126,8 @@ func (c *Client) batchOnce(ctx context.Context, req serve.TranslateRequest, item
 	}
 }
 
-// Stats scrapes GET /v1/stats (retried under WithRetry).
+// Stats scrapes GET /v1/stats.
 func (c *Client) Stats(ctx context.Context) (*serve.StatsResponse, error) {
-	if c.retry == nil {
-		return c.statsOnce(ctx)
-	}
-	return retryLoop(ctx, c.retry, func() (*serve.StatsResponse, error) {
-		return c.statsOnce(ctx)
-	})
-}
-
-func (c *Client) statsOnce(ctx context.Context) (*serve.StatsResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/stats", nil)
 	if err != nil {
 		return nil, err

@@ -19,7 +19,8 @@
 // and Stream already honour.
 //
 // The companion package serve/client is the typed Go client; cmd/ssad is
-// the daemon around this package and cmd/ssaload the load generator.
+// the daemon around this package, and perfbench's serve-mixed workload
+// drives it with open-loop load.
 package serve
 
 import (

@@ -120,14 +120,11 @@ type StatsResponse struct {
 		Rewrite  int64 `json:"rewrite"`
 	} `json:"phase_nanos"`
 
-	// Cache is the aggregate analysis-cache behaviour. Repairs counts stale
-	// analyses brought current by incremental dirty-set patching instead of
-	// recomputation.
+	// Cache is the aggregate analysis-cache behaviour.
 	Cache struct {
 		Hits    uint64  `json:"hits"`
 		Misses  uint64  `json:"misses"`
 		HitRate float64 `json:"hit_rate"`
-		Repairs uint64  `json:"repairs"`
 	} `json:"cache"`
 
 	// Memo is the server-wide translation memo: lookups folded from every
@@ -186,7 +183,6 @@ func (s *Server) statsResponse() *StatsResponse {
 	out.Cache.Hits = st.cache.Hits
 	out.Cache.Misses = st.cache.Misses
 	out.Cache.HitRate = st.cache.HitRate()
-	out.Cache.Repairs = st.cache.Repairs
 	if s.memo != nil {
 		ms := s.memo.Stats()
 		out.Memo = &MemoSection{
