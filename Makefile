@@ -27,13 +27,15 @@ CHAOS_DURATION ?= 2s
 chaos:
 	SSAD_CHAOS_DURATION=$(CHAOS_DURATION) $(GO) test -race -count=1 -run 'TestChaos$$' -v ./outofssa/serve
 
-# Fuzz the five targets briefly: the parser (never panic, print/re-parse),
-# the translate differential oracle (reference vs optimized machinery,
-# interpreter-checked, printed outputs re-parsed), the parser and printer
-# against their reference implementations, the binary IR decoder of
-# memo snapshots (never panic, accepted input verifies and re-encodes),
-# and the liveness checker with its accepted-set memo against the
-# fixpoint oracle. The committed seed corpus lives in outofssa/testdata/fuzz/.
+# Fuzz the six targets briefly: the parser (never panic, print/re-parse),
+# the translate differential oracle (the paper's baseline machinery vs the
+# optimized default, byte-identical output, interpreter-checked, printed
+# outputs re-parsed), the parser and printer against their reference
+# implementations, the binary IR decoder of memo snapshots (never panic,
+# accepted input verifies and re-encodes), the liveness checker with its
+# accepted-set memo against the fixpoint oracle, and the interference
+# queries against their per-query derivations. The committed seed corpus
+# lives in outofssa/testdata/fuzz/.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParse$$' -fuzztime $(FUZZTIME) ./outofssa
@@ -41,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzParseMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/ir
 	$(GO) test -run '^$$' -fuzz 'FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/ir
 	$(GO) test -run '^$$' -fuzz 'FuzzLiveCheck$$' -fuzztime $(FUZZTIME) ./internal/livecheck
+	$(GO) test -run '^$$' -fuzz 'FuzzQueriesMatchReference$$' -fuzztime $(FUZZTIME) ./internal/interference
 
 figures:
 	$(GO) run ./cmd/ssabench -fig all

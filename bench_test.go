@@ -265,38 +265,32 @@ func coalesceWorkload() []bench.CoalesceCase {
 	return coalCorpus
 }
 
-// BenchmarkCoalesce measures the optimized interference query path
-// (binary-search LiveAfter, packed def-point keys, pooled congruence
-// scratch) against the kept reference path on the φ/copy-dense corpus, for
-// both liveness backends.
+// BenchmarkCoalesce measures one class-level coalescing pass (binary-search
+// LiveAfter, packed def-point keys, pooled congruence storage) on the
+// φ/copy-dense corpus, for both liveness backends.
 func BenchmarkCoalesce(b *testing.B) {
-	for _, eng := range []struct {
+	for _, bk := range []struct {
 		name      string
-		reference bool
-	}{{"Optimized", false}, {"Reference", true}} {
-		for _, bk := range []struct {
-			name      string
-			livecheck bool
-		}{{"LiveCheck", true}, {"Liveness", false}} {
-			b.Run(eng.name+"/"+bk.name, func(b *testing.B) {
-				corpus := coalesceWorkload()
-				chks := make([]*interference.Checker, len(corpus))
-				for i := range corpus {
-					chks[i] = corpus[i].NewChecker(eng.reference, bk.livecheck)
+		livecheck bool
+	}{{"LiveCheck", true}, {"Liveness", false}} {
+		b.Run(bk.name, func(b *testing.B) {
+			corpus := coalesceWorkload()
+			chks := make([]*interference.Checker, len(corpus))
+			for i := range corpus {
+				chks[i] = corpus[i].NewChecker(bk.livecheck)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			queries := 0
+			for i := 0; i < b.N; i++ {
+				for j := range corpus {
+					chks[j].Queries = 0
+					corpus[j].RunCoalesce(chks[j])
+					queries += chks[j].Queries
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				queries := 0
-				for i := 0; i < b.N; i++ {
-					for j := range corpus {
-						chks[j].Queries = 0
-						corpus[j].RunCoalesce(chks[j])
-						queries += chks[j].Queries
-					}
-				}
-				b.ReportMetric(float64(queries)/float64(b.N), "pair-queries")
-			})
-		}
+			}
+			b.ReportMetric(float64(queries)/float64(b.N), "pair-queries")
+		})
 	}
 }
 
@@ -314,9 +308,9 @@ func translateWorkload() []bench.TranslateCase {
 
 // BenchmarkTranslate measures end-to-end clone+translate steady state —
 // the pooled-scratch/slab allocation path (CloneInto + TranslateInto with
-// one reused core.Scratch) against the kept pre-pooling reference
-// (Clone + ReferenceAlloc) — for the default Sharing strategy and the
-// virtualized Sreedhar III baseline.
+// one reused core.Scratch) against translation with no reuse (Clone +
+// TranslateInto with a fresh core.Scratch per function) — for the default
+// Sharing strategy and the virtualized Sreedhar III baseline.
 func BenchmarkTranslate(b *testing.B) {
 	strategies := []struct {
 		name string
@@ -349,17 +343,15 @@ func BenchmarkTranslate(b *testing.B) {
 			}
 			b.ReportMetric(float64(copies), "final-copies")
 		})
-		b.Run("Reference/"+s.name, func(b *testing.B) {
+		b.Run("Fresh/"+s.name, func(b *testing.B) {
 			corpus := translateWorkload()
-			opt := s.opt
-			opt.ReferenceAlloc = true
 			b.ReportAllocs()
 			b.ResetTimer()
 			copies := 0
 			for i := 0; i < b.N; i++ {
 				copies = 0
 				for j := range corpus {
-					st, err := core.Translate(ir.Clone(corpus[j].Func()), opt)
+					st, err := core.TranslateInto(ir.Clone(corpus[j].Func()), s.opt, nil, core.NewScratch())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -417,12 +409,13 @@ func BenchmarkAblationSequentialization(b *testing.B) {
 		cases = append(cases, pc{dsts: perm, srcs: ids})
 	}
 	scratch := ir.VarID(1000)
+	sc := parcopy.NewScratch()
 	emitted, naive := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		emitted, naive = 0, 0
 		for _, c := range cases {
-			seq := parcopy.Sequentialize(c.dsts, c.srcs, func() ir.VarID { return scratch })
+			seq := sc.Sequentialize(c.dsts, c.srcs, func() ir.VarID { return scratch })
 			emitted += len(seq)
 			naive += parcopy.NaiveCount(c.dsts, c.srcs)
 		}

@@ -136,15 +136,6 @@ func (s *Set) Copy() *Set {
 	return &Set{words: w, n: s.n}
 }
 
-// CopyFrom overwrites s with the contents of t, growing s if needed.
-func (s *Set) CopyFrom(t *Set) {
-	s.Grow(t.n)
-	copy(s.words, t.words)
-	for i := len(t.words); i < len(s.words); i++ {
-		s.words[i] = 0
-	}
-}
-
 // UnionWith adds all elements of t to s and reports whether s changed.
 func (s *Set) UnionWith(t *Set) bool {
 	s.Grow(t.n)
@@ -179,42 +170,6 @@ func (s *Set) UnionWithAndNot(t, u *Set) bool {
 		}
 	}
 	return changed
-}
-
-// IntersectWith keeps only elements present in both s and t.
-func (s *Set) IntersectWith(t *Set) {
-	for i := range s.words {
-		if i < len(t.words) {
-			s.words[i] &= t.words[i]
-		} else {
-			s.words[i] = 0
-		}
-	}
-}
-
-// DifferenceWith removes all elements of t from s.
-func (s *Set) DifferenceWith(t *Set) {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// Intersects reports whether s and t share at least one element.
-func (s *Set) Intersects(t *Set) bool {
-	n := len(s.words)
-	if len(t.words) < n {
-		n = len(t.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Equal reports whether s and t contain exactly the same elements.

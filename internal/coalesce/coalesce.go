@@ -64,10 +64,19 @@ type Machinery struct {
 	// applies to the Value variant (with value chains) and to Intersect;
 	// the pair-exemption variants need the quadratic form.
 	Linear bool
-	// Scratch, when non-nil, supplies the reusable per-run buffers of the
-	// affinity sort, the virtualizer, and the sharing post-pass. Nil makes
-	// every run allocate fresh buffers (the reference baseline).
+	// Scratch supplies the reusable per-run buffers of the affinity sort,
+	// the virtualizer, and the sharing post-pass. When it is nil, the first
+	// run that needs buffers installs a fresh one.
 	Scratch *Scratch
+}
+
+// scratch returns the machinery's Scratch, installing a fresh one if the
+// caller supplied none.
+func (m *Machinery) scratch() *Scratch {
+	if m.Scratch == nil {
+		m.Scratch = NewScratch()
+	}
+	return m.Scratch
 }
 
 // pairPred returns the variable-pair predicate for the variant.
@@ -153,7 +162,7 @@ func merge(m *Machinery, v Variant, a, b ir.VarID) {
 // copies globally by weight.
 func Run(m *Machinery, affs []sreedhar.Affinity, v Variant, groupPhis bool) *Result {
 	res := &Result{Statuses: make([]Status, len(affs))}
-	order := sortOrder(m.Scratch, affs, groupPhis)
+	order := sortOrder(m.scratch(), affs, groupPhis)
 	for _, i := range order {
 		a := affs[i]
 		if m.Classes.SameClass(a.Dst, a.Src) {
@@ -199,19 +208,12 @@ type sortKey struct {
 // affs[order[i]] indirections through a closure per comparison — and with
 // the distinct index as the final key the order is total, so the plain
 // (unstable) sort is deterministic without SliceStable's extra passes.
-// The key and order buffers come from sc when provided; the returned slice
-// is then owned by the scratch and valid until its next run.
+// The key and order buffers come from sc; the returned slice is owned by
+// the scratch and valid until its next run.
 func sortOrder(sc *Scratch, affs []sreedhar.Affinity, groupPhis bool) []int {
-	var keys []sortKey
-	var order []int
-	if sc != nil {
-		keys = growKeys(sc.keys, len(affs))
-		order = growInts(sc.order, len(affs))
-		sc.keys, sc.order = keys, order
-	} else {
-		keys = make([]sortKey, len(affs))
-		order = make([]int, len(affs))
-	}
+	keys := growKeys(sc.keys, len(affs))
+	order := growInts(sc.order, len(affs))
+	sc.keys, sc.order = keys, order
 	for i, a := range affs {
 		g := int32(math.MaxInt32)
 		if groupPhis && a.Phi >= 0 {

@@ -6,10 +6,7 @@ import "repro/internal/ir"
 // the precomputed sort keys and order of the affinity loop, the
 // virtualizer's per-φ item and member buffers, and the copy-sharing
 // post-pass's value index. A Scratch may be reused across functions of any
-// size but not concurrently; a nil Machinery.Scratch makes every phase
-// allocate fresh buffers (the pre-pooling behavior, which the
-// ReferenceAlloc differential tests and BenchmarkTranslate's Reference
-// rows run).
+// size but not concurrently.
 type Scratch struct {
 	// sortOrder buffers.
 	keys  []sortKey

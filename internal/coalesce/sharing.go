@@ -23,19 +23,11 @@ func Share(m *Machinery, affs []sreedhar.Affinity, res *Result) int {
 	// The index is CSR-shaped — counting pass, prefix sums, fill pass into
 	// one flat array — with every buffer drawn from the scratch, so the
 	// default Sharing strategy builds it without per-value allocations.
-	sc := m.Scratch
+	sc := m.scratch()
 	n := len(m.Chk.F.Vars)
-	var count, start []int32
-	var flat []ir.VarID
-	var order []int
-	if sc != nil {
-		count = i32buf(sc.shCount, n)
-		start = i32buf(sc.shStart, n+1)
-		sc.shCount, sc.shStart = count, start
-	} else {
-		count = make([]int32, n)
-		start = make([]int32, n+1)
-	}
+	count := i32buf(sc.shCount, n)
+	start := i32buf(sc.shStart, n+1)
+	sc.shCount, sc.shStart = count, start
 	defined := 0
 	for v := 0; v < n; v++ {
 		if m.Chk.DU.HasDef(ir.VarID(v)) {
@@ -47,14 +39,10 @@ func Share(m *Machinery, affs []sreedhar.Affinity, res *Result) int {
 		start[v+1] = start[v] + count[v]
 		count[v] = start[v] // reuse count as the fill cursor
 	}
-	if sc != nil {
-		if cap(sc.shFlat) < defined {
-			sc.shFlat = make([]ir.VarID, defined)
-		}
-		flat = sc.shFlat[:defined]
-	} else {
-		flat = make([]ir.VarID, defined)
+	if cap(sc.shFlat) < defined {
+		sc.shFlat = make([]ir.VarID, defined)
 	}
+	flat := sc.shFlat[:defined]
 	for v := 0; v < n; v++ {
 		if m.Chk.DU.HasDef(ir.VarID(v)) {
 			val := m.Chk.Value(ir.VarID(v))
@@ -66,19 +54,13 @@ func Share(m *Machinery, affs []sreedhar.Affinity, res *Result) int {
 
 	// Heaviest copies first: sharing opportunities consumed by cheap copies
 	// should not block expensive ones.
-	if sc != nil {
-		order = sc.shOrder[:0]
-	} else {
-		order = make([]int, 0, len(affs)) // the pre-pooling allocation shape
-	}
+	order := sc.shOrder[:0]
 	for i, s := range res.Statuses {
 		if s == Remaining {
 			order = append(order, i)
 		}
 	}
-	if sc != nil {
-		sc.shOrder = order
-	}
+	sc.shOrder = order
 	sort.SliceStable(order, func(x, y int) bool {
 		return affs[order[x]].Weight > affs[order[y]].Weight
 	})

@@ -22,9 +22,9 @@ import (
 //
 // The per-φ working state — the weighted operand items and the attached
 // member classes — lives in flat value slices drawn from the machinery's
-// Scratch (fresh ones per φ when it is nil). Items remember the attached
-// member by a stable per-φ id, so detaching a member is a scan over the
-// item slice instead of a per-member allocated list.
+// Scratch. Items remember the attached member by a stable per-φ id, so
+// detaching a member is a scan over the item slice instead of a
+// per-member allocated list.
 type Virtualizer struct {
 	M   *Machinery
 	Ins *sreedhar.Insertion // pre-created empty parallel copies
@@ -79,12 +79,8 @@ func (vz *Virtualizer) Run(f *ir.Func) *VirtualResult {
 }
 
 func (vz *Virtualizer) phi(f *ir.Func, b *ir.Block, phi *ir.Instr, phiID int, res *VirtualResult) {
-	sc := vz.M.Scratch
-	var items []vitem
-	var members []vmember
-	if sc != nil {
-		items, members = sc.items[:0], sc.members[:0]
-	}
+	sc := vz.M.scratch()
+	items, members := sc.items[:0], sc.members[:0]
 	items = append(items, vitem{v: phi.Defs[0], pred: -1, weight: b.Freq, member: -1})
 	for i := range phi.Uses {
 		items = append(items, vitem{v: phi.Uses[i], pred: int32(i), weight: b.Preds[i].Freq, member: -1})
@@ -113,9 +109,7 @@ func (vz *Virtualizer) phi(f *ir.Func, b *ir.Block, phi *ir.Instr, phiID int, re
 	for i := 1; i < len(members); i++ {
 		vz.M.Classes.MergeForced(members[0].rep, members[i].rep)
 	}
-	if sc != nil {
-		sc.items, sc.members = items[:0], members[:0]
-	}
+	sc.items, sc.members = items[:0], members[:0]
 }
 
 // attach tries to add items[idx]'s congruence class to the φ-node. It

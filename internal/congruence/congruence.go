@@ -39,9 +39,7 @@
 // capacity, and retired arrays go to a Pool instead of the garbage
 // collector. The per-variable arrays and the traversal scratch come from
 // the Pool too: a translator that keeps one Pool per worker (NewIn +
-// Retire) sizes them once instead of per function. The per-merge-allocating
-// baseline survives behind the Reference flag, which the differential
-// tests and BenchmarkCoalesce's Reference rows compare against.
+// Retire) sizes them once instead of per function.
 package congruence
 
 import (
@@ -59,12 +57,6 @@ type Classes struct {
 	// pool so successive translations (and Retire at the end of each)
 	// share one set of arrays.
 	pool *Pool
-
-	// Reference disables the scratch reuse: every merge allocates a fresh
-	// exact-size member list and every traversal a fresh stack, as the
-	// pre-pooling implementation did. The differential tests and
-	// BenchmarkCoalesce's Reference rows run against it.
-	Reference bool
 
 	// Tests counts variable-to-variable intersection tests issued by the
 	// class-level checks (quadratic vs linear instrumentation).
@@ -156,22 +148,19 @@ func (p *Pool) take(need int) []ir.VarID {
 	return make([]ir.VarID, 0, need+need/2+4)
 }
 
-// New returns singleton classes over the variable universe of chk. The
-// Reference flag of chk carries over, so a reference checker drives a
-// reference merge path too.
+// New returns singleton classes over the variable universe of chk.
 func New(chk *interference.Checker) *Classes {
 	return NewIn(chk, nil)
 }
 
 // NewIn is New with a caller-owned pool feeding the class storage; nil
-// selects a private pool, and so does a reference checker, whose classes
-// allocate everything afresh. Pair it with Retire to hand the arrays back
-// when the classes are done.
+// selects a private pool. Pair it with Retire to hand the arrays back when
+// the classes are done.
 func NewIn(chk *interference.Checker, pool *Pool) *Classes {
-	if pool == nil || chk.Reference {
+	if pool == nil {
 		pool = &Pool{}
 	}
-	c := &Classes{chk: chk, arrays: pool.arrays, pool: pool, Reference: chk.Reference}
+	c := &Classes{chk: chk, arrays: pool.arrays, pool: pool}
 	pool.arrays = arrays{}
 	c.reset(chk.F.Vars)
 	return c
@@ -229,10 +218,6 @@ func (c *Classes) less(a, b ir.VarID) bool {
 	}
 	return a < b
 }
-
-// EqualAncIn exposes the per-variable equal-intersecting-ancestor within
-// its class (testing hook).
-func (c *Classes) EqualAncIn(v ir.VarID) ir.VarID { return c.equalAncIn[v] }
 
 // Retire hands the classes' storage — every live member list and the
 // per-translation arrays — back to their pool. The Classes must not be

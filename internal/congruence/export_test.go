@@ -2,6 +2,10 @@ package congruence
 
 import "repro/internal/ir"
 
+// EqualAncIn exposes the per-variable equal-intersecting-ancestor within
+// its class.
+func (c *Classes) EqualAncIn(v ir.VarID) ir.VarID { return c.equalAncIn[v] }
+
 // EqualAncOut exposes the equal_anc_out the last InterferesLinear recorded
 // for v (NoVar when none).
 func EqualAncOut(c *Classes, v ir.VarID) ir.VarID { return c.equalAncOut[v] }

@@ -17,13 +17,8 @@ type stackEntry struct {
 	lo, hi int32
 }
 
-// takeStack hands out the reusable traversal stack (empty). Under Reference
-// it returns nil so every traversal allocates afresh, as the pre-pooling
-// implementation did.
+// takeStack hands out the reusable traversal stack (empty).
 func (c *Classes) takeStack() []stackEntry {
-	if c.Reference {
-		return nil
-	}
 	s := c.stack
 	c.stack = nil
 	return s[:0]
@@ -31,9 +26,7 @@ func (c *Classes) takeStack() []stackEntry {
 
 // putStack returns the (possibly grown) traversal stack to the pool.
 func (c *Classes) putStack(s []stackEntry) {
-	if !c.Reference {
-		c.stack = s
-	}
+	c.stack = s
 }
 
 // InterferesQuadratic tests interference between the classes of a and b by

@@ -82,15 +82,10 @@ func (c *Classes) link(ra, rb ir.VarID, merged []ir.VarID) ir.VarID {
 // the existing backing arrays when it fits (a backward merge, so the
 // occupant is never overwritten before it is read); otherwise it goes to a
 // free-listed or fresh array with append-style headroom, so a class absorbs
-// many merges per allocation. Under Reference every merge allocates a fresh
-// exact-size list — the pre-pooling behaviour the differential tests and
-// BenchmarkCoalesce's Reference rows compare against.
+// many merges per allocation.
 func (c *Classes) mergeRoots(ra, rb ir.VarID) []ir.VarID {
 	x, y := c.Members(ra), c.Members(rb)
 	need := len(x) + len(y)
-	if c.Reference {
-		return c.mergeForward(make([]ir.VarID, 0, need), x, y)
-	}
 	ax, ay := c.lists[ra], c.lists[rb]
 	c.lists[ra], c.lists[rb] = nil, nil
 	if cap(ax) >= need {

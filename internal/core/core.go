@@ -82,7 +82,8 @@ var Strategies = []Strategy{Intersect, SreedharI, Chaitin, Value, SreedharIII, V
 // Options configure the translator.
 type Options struct {
 	// Strategy selects the coalescing variant (Figure 5). SreedharIII
-	// implies Virtualize.
+	// requires Virtualize (Validate rejects it without); the façade's
+	// WithStrategy sets both.
 	Strategy Strategy
 	// Virtualize emulates the φ-copies and materializes only the ones that
 	// fail to coalesce ("Us III"; Section IV-C). Without it, all copies are
@@ -113,26 +114,6 @@ type Options struct {
 	// OpParCopy instructions in the output; used by tests that inspect the
 	// parallel form.
 	KeepParallelCopies bool
-	// ReferenceQueries answers every interference query with the
-	// pre-optimization implementations (linear use-list scans, per-query
-	// def-point derivation, per-merge class allocation). Results are
-	// identical; only cost differs. It exists for the differential oracle
-	// tests (TestStrategiesReferenceOracle, FuzzTranslate).
-	ReferenceQueries bool
-	// ReferenceAlloc runs the mutation phases without any pooled working
-	// state: a fresh Insertion per translation, freshly allocated coalescer
-	// buffers and congruence list storage, the kept map-based parallel-copy
-	// sequentializer, and the double-copy instruction splice. No pooled
-	// Scratch is attached. Results are identical; only allocation traffic
-	// differs. It is the differential oracle of the pooled path
-	// (TestReferenceAllocMatchesPooled, TestTranslateEnginesAgree,
-	// FuzzTranslate) and the Reference rows of BenchmarkTranslate, which
-	// isolate the pooling/reuse delta; structural improvements shared by
-	// both engines (slab-allocated IR, CSR-built def-use and sharing
-	// indexes, the value-slice virtualizer) benefit the reference rows too,
-	// so the measured gap understates the distance to the pre-pooling
-	// code.
-	ReferenceAlloc bool
 }
 
 // Validate rejects inconsistent option combinations.
@@ -231,12 +212,11 @@ type Translation struct {
 	// def-use index it maintains while materializing virtualized copies.
 	An *analysis.Cache
 
-	// sc is the pooled working state of the translation; nil under
-	// Options.ReferenceAlloc. Insert draws one from the package pool unless
-	// SetScratch installed a caller-owned scratch first (the batch driver
-	// threads one per worker), and installs its analysis storage in An;
-	// Release, at the end of Rewrite, detaches both and returns pool-drawn
-	// scratches.
+	// sc is the pooled working state of the translation. Insert draws one
+	// from the package pool unless SetScratch installed a caller-owned
+	// scratch first (the batch driver threads one per worker), and installs
+	// its analysis storage in An; Release, at the end of Rewrite, detaches
+	// both and returns pool-drawn scratches.
 	sc     *Scratch
 	pooled bool
 
@@ -262,9 +242,6 @@ func NewTranslation(f *ir.Func, opt Options, an *analysis.Cache) (*Translation, 
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	if opt.Strategy == SreedharIII {
-		opt.Virtualize = true
-	}
 	if an == nil {
 		an = analysis.NewCache(f)
 	}
@@ -275,12 +252,8 @@ func NewTranslation(f *ir.Func, opt Options, an *analysis.Cache) (*Translation, 
 // it must be called before Insert. The caller keeps ownership: the scratch
 // is reusable (not concurrently) for the next translation as soon as the
 // translation is released — by Rewrite, or by Release after a failed
-// phase. Under Options.ReferenceAlloc the call is ignored — the reference
-// baseline allocates fresh working state by design.
+// phase.
 func (t *Translation) SetScratch(sc *Scratch) {
-	if t.Opt.ReferenceAlloc {
-		return
-	}
 	t.sc = sc
 	t.pooled = false
 }
@@ -288,13 +261,11 @@ func (t *Translation) SetScratch(sc *Scratch) {
 // attachScratch attaches a pool-drawn scratch when none was installed and
 // makes the analysis cache build into the scratch's storage.
 func (t *Translation) attachScratch() {
-	if t.sc == nil && !t.Opt.ReferenceAlloc {
+	if t.sc == nil {
 		t.sc = GetScratch()
 		t.pooled = true
 	}
-	if t.sc != nil {
-		t.An.UseStorage(&t.sc.an)
-	}
+	t.An.UseStorage(&t.sc.an)
 }
 
 // Release ends the translation's use of its scratch: the analysis cache
@@ -321,45 +292,6 @@ func (t *Translation) Release() {
 		PutScratch(t.sc)
 	}
 	t.sc = nil
-}
-
-// congPool returns the congruence storage pool (nil for the reference
-// baseline, selecting per-instance storage).
-func (t *Translation) congPool() *congruence.Pool {
-	if t.sc == nil {
-		return nil
-	}
-	return &t.sc.cong
-}
-
-// defKeys returns the checker's def-point key storage (nil for the
-// reference baseline, selecting per-checker storage).
-func (t *Translation) defKeys() *interference.DefKeys {
-	if t.sc == nil {
-		return nil
-	}
-	return &t.sc.keys
-}
-
-// newInsertion returns the insertion storage for a function of nblocks
-// blocks: the scratch's recycled one, or a fresh one for the reference
-// baseline.
-func (t *Translation) newInsertion(nblocks int) *sreedhar.Insertion {
-	ins := &sreedhar.Insertion{}
-	if t.sc != nil {
-		ins = &t.sc.ins
-	}
-	ins.Reset(nblocks)
-	return ins
-}
-
-// coScratch returns the coalescer's scratch view (nil for the reference
-// baseline).
-func (t *Translation) coScratch() *coalesce.Scratch {
-	if t.sc == nil {
-		return nil
-	}
-	return &t.sc.co
 }
 
 // backend returns the liveness-set representation the options select.
@@ -404,7 +336,8 @@ func (t *Translation) Insert() error {
 	}
 	st.Blocks = len(f.Blocks)
 
-	t.ins = t.newInsertion(len(f.Blocks))
+	t.ins = &t.sc.ins
+	t.ins.Reset(len(f.Blocks))
 	if t.Opt.Virtualize {
 		sreedhar.PrepareParallelCopies(f, t.ins)
 	} else {
@@ -472,15 +405,13 @@ func (t *Translation) Coalesce() error {
 
 	t.chk = &interference.Checker{
 		F: f, DT: t.An.Dom(), DU: t.An.DefUse(), Live: t.oracle(), Vals: t.vals,
-		Reference: opt.ReferenceQueries, Keys: t.defKeys(),
+		Keys: &t.sc.keys,
 	}
-	t.classes = congruence.NewIn(t.chk, t.congPool())
+	t.classes = congruence.NewIn(t.chk, &t.sc.cong)
 	precoalescePinned(f, t.classes)
-	m := &coalesce.Machinery{Chk: t.chk, Classes: t.classes, Graph: t.graph, Linear: opt.Linear, Scratch: t.coScratch()}
+	m := &coalesce.Machinery{Chk: t.chk, Classes: t.classes, Graph: t.graph, Linear: opt.Linear, Scratch: &t.sc.co}
 
-	if t.sc != nil {
-		t.affs = t.sc.affs[:0]
-	}
+	t.affs = t.sc.affs[:0]
 	// φ-nodes of Method I are coalesced by construction (Lemma 1).
 	if !opt.Virtualize {
 		for _, node := range t.ins.PhiNodes {
@@ -566,8 +497,8 @@ func (t *Translation) Rewrite() error {
 }
 
 // CoalesceResult exposes the per-affinity coalescing decisions of the
-// Coalesce phase (nil before it ran). The differential oracle tests compare
-// it across the optimized and reference query paths.
+// Coalesce phase (nil before it ran). The differential tests compare it
+// between pooled and fresh-scratch translations.
 func (t *Translation) CoalesceResult() *coalesce.Result { return t.res }
 
 // Translate rewrites f, which must be in strict SSA form, into equivalent
@@ -586,8 +517,8 @@ func TranslateWith(f *ir.Func, opt Options, an *analysis.Cache) (*Stats, error) 
 
 // TranslateInto is TranslateWith with an explicit, caller-owned Scratch —
 // batch drivers hand every function translated by one worker the same
-// scratch. sc may be nil, in which case (unless opt.ReferenceAlloc) the
-// translation draws one from the package pool for its own duration.
+// scratch. sc may be nil, in which case the translation draws one from the
+// package pool for its own duration.
 func TranslateInto(f *ir.Func, opt Options, an *analysis.Cache, sc *Scratch) (*Stats, error) {
 	t, err := NewTranslation(f, opt, an)
 	if err != nil {

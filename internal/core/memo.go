@@ -62,10 +62,9 @@ func MemoKeyFor(f *ir.Func, opt Options) MemoKey {
 }
 
 // optionsWord packs every Options field that can influence the translated
-// output or its reported statistics into one word. ReferenceQueries and
-// ReferenceAlloc never change results, but they do change the measured
-// footprint/instrumentation fields the differential oracles compare, so
-// they key separately too.
+// output or its reported statistics into one word. Persisted memo
+// snapshots hold these words, so the packing is frozen
+// (TestOptionsWordGolden).
 func optionsWord(o Options) uint64 {
 	w := uint64(o.Strategy) & 0xf
 	set := func(bit uint, v bool) {
@@ -80,8 +79,6 @@ func optionsWord(o Options) uint64 {
 	set(4, o.OrderedSets)
 	set(5, o.SplitCriticalEdges)
 	set(6, o.KeepParallelCopies)
-	set(7, o.ReferenceQueries)
-	set(8, o.ReferenceAlloc)
 	return w
 }
 

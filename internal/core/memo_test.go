@@ -100,6 +100,41 @@ func TestMemoKeySeparatesOptions(t *testing.T) {
 	}
 }
 
+// TestOptionsWordGolden pins the options half of the memo key. Keys
+// persist in ssad -memo-file snapshots, so a change to optionsWord's
+// packing would turn every stored entry into a miss after an upgrade. The
+// rows cover the façade default, each Figure 5 option set (fig5Options in
+// outofssa/bench) and each single toggle.
+func TestOptionsWordGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want uint64
+	}{
+		{"default", Options{Strategy: Sharing, Linear: true, LiveCheck: true}, 0xc6},
+		{"fig5/Intersect", Options{Strategy: Intersect, Linear: true, LiveCheck: true}, 0xc0},
+		{"fig5/SreedharI", Options{Strategy: SreedharI, Linear: true, LiveCheck: true}, 0xc1},
+		{"fig5/Chaitin", Options{Strategy: Chaitin, Linear: true, LiveCheck: true}, 0xc2},
+		{"fig5/Value", Options{Strategy: Value, Linear: true, LiveCheck: true}, 0xc3},
+		{"fig5/SreedharIII", Options{Strategy: SreedharIII, Virtualize: true, UseGraph: true}, 0x34},
+		{"fig5/ValueIS", Options{Strategy: ValueIS, Linear: true, LiveCheck: true}, 0xc5},
+		{"fig5/Sharing", Options{Strategy: Sharing, Linear: true, LiveCheck: true}, 0xc6},
+		{"zero", Options{}, 0x0},
+		{"Optimistic", Options{Strategy: Optimistic}, 0x7},
+		{"Virtualize", Options{Virtualize: true}, 0x10},
+		{"UseGraph", Options{UseGraph: true}, 0x20},
+		{"LiveCheck", Options{LiveCheck: true}, 0x40},
+		{"Linear", Options{Linear: true}, 0x80},
+		{"OrderedSets", Options{OrderedSets: true}, 0x100},
+		{"SplitCriticalEdges", Options{SplitCriticalEdges: true}, 0x200},
+		{"KeepParallelCopies", Options{KeepParallelCopies: true}, 0x400},
+	} {
+		if got := optionsWord(tc.opt); got != tc.want {
+			t.Errorf("%s: optionsWord = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestMemoStoreIdempotent: storing an existing key changes nothing — the
 // racing-workers contract.
 func TestMemoStoreIdempotent(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/coalesce"
 	"repro/internal/congruence"
 	"repro/internal/ir"
-	"repro/internal/parcopy"
 	"repro/internal/sreedhar"
 )
 
@@ -14,10 +13,7 @@ import (
 // sequentialized with the optimal algorithm of Section III-C.
 //
 // sc supplies the phase's working state: the duplicate-destination stamps
-// of pruneParCopy and the sequentializer's tables. A nil sc (the
-// ReferenceAlloc baseline) falls back to the pre-pooling behavior — a map
-// per parallel copy, the map-based sequentializer, and the double-copy
-// instruction splice.
+// of pruneParCopy and the sequentializer's tables.
 func rewrite(f *ir.Func, classes *congruence.Classes, du *ir.DefUse,
 	affs []sreedhar.Affinity, statuses []coalesce.Status,
 	keepParallel bool, st *Stats, sc *Scratch) {
@@ -100,12 +96,7 @@ func rewrite(f *ir.Func, classes *congruence.Classes, du *ir.DefUse,
 					continue
 				}
 				pairs := len(in.Defs)
-				var seq []parcopy.Copy
-				if sc != nil {
-					seq = sc.par.SequentializeInstr(f, b, idx, fresh)
-				} else {
-					seq = parcopy.SequentializeInstrReference(f, b, idx, fresh)
-				}
+				seq := sc.par.SequentializeInstr(f, b, idx, fresh)
 				st.CycleCopies += len(seq) - pairs
 				idx += len(seq) - 1
 			}
@@ -150,37 +141,16 @@ func dropDeadPairs(in *ir.Instr, liveDst func(ir.VarID) bool) {
 // Two live pairs writing the same destination can only survive coalescing
 // when their sources carry the same value (paper, Section III-C), so
 // keeping the first is safe; dead pairs were removed beforehand. The
-// duplicate check uses the scratch's epoch-stamped table when available and
-// a fresh map (the reference baseline) otherwise.
+// duplicate check uses the scratch's epoch-stamped table.
 func pruneParCopy(in *ir.Instr, sc *Scratch, nvars int) {
-	var stamp []uint32
-	var epoch uint32
-	var seen map[ir.VarID]bool
-	if sc != nil {
-		stamp, epoch = sc.stampFor(nvars)
-	} else {
-		seen = map[ir.VarID]bool{}
-	}
-	dup := func(d ir.VarID) bool {
-		if stamp != nil {
-			if stamp[d] == epoch {
-				return true
-			}
-			stamp[d] = epoch
-			return false
-		}
-		if seen[d] {
-			return true
-		}
-		seen[d] = true
-		return false
-	}
+	stamp, epoch := sc.stampFor(nvars)
 	defs, uses := in.Defs[:0], in.Uses[:0]
 	for i, d := range in.Defs {
 		s := in.Uses[i]
-		if d == s || dup(d) {
+		if d == s || stamp[d] == epoch {
 			continue
 		}
+		stamp[d] = epoch
 		defs = append(defs, d)
 		uses = append(uses, s)
 	}

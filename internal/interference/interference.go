@@ -22,10 +22,8 @@
 // compare packed per-variable def-point keys (preorder<<32|slot, cached in
 // the Checker, with a sentinel for "no definition") instead of chasing
 // HasDef and DefBlock→PreOrder indirections on every call. The
-// pre-optimization implementations survive as the *Reference methods —
-// the differential oracle of the tests, timed by BenchmarkCoalesce's
-// Reference rows — and the Reference flag reroutes the whole checker to
-// them.
+// pre-optimization derivations live on in export_test.go as the
+// differential oracle of the per-query tests.
 package interference
 
 import (
@@ -55,12 +53,6 @@ type Checker struct {
 	// Vals is the SSA value of every variable (ssa.Values). It may be nil,
 	// in which case value-based queries degrade to pure intersection.
 	Vals []ir.VarID
-
-	// Reference answers every query with the pre-optimization
-	// implementations (linear use-list scans, per-query def-point
-	// derivation). Semantics are identical; only cost differs. The
-	// differential tests and BenchmarkCoalesce's Reference rows use it.
-	Reference bool
 
 	// Keys, when non-nil, supplies the storage of the def-point key cache
 	// below, so a caller running one checker after another reuses one set
@@ -145,9 +137,6 @@ func (c *Checker) refreshKey(v ir.VarID) {
 // just created) — the virtualized translator calls it after ReplaceDef /
 // AddDef so the packed keys stay in sync with the def-use index.
 func (c *Checker) DefMoved(v ir.VarID) {
-	if c.Reference {
-		return // the reference path derives per query; no cache to maintain
-	}
 	c.ensureKeys()
 	c.refreshKey(v)
 }
@@ -156,9 +145,6 @@ func (c *Checker) DefMoved(v ir.VarID) {
 // the given slot of block b — after the instruction's reads and writes.
 // Uses of v at that very slot do not keep it alive past the slot.
 func (c *Checker) LiveAfter(v ir.VarID, b int, slot int32) bool {
-	if c.Reference {
-		return c.LiveAfterReference(v, b, slot)
-	}
 	if !c.DU.HasDef(v) {
 		return false
 	}
@@ -176,37 +162,11 @@ func (c *Checker) LiveAfter(v ir.VarID, b int, slot int32) bool {
 	return c.Live.LiveOutBlock(v, b)
 }
 
-// LiveAfterReference is LiveAfter with the pre-optimization linear scan of
-// the whole use list (order-independent, hence insensitive to the sorted
-// storage) — the differential baseline.
-func (c *Checker) LiveAfterReference(v ir.VarID, b int, slot int32) bool {
-	if !c.DU.HasDef(v) {
-		return false
-	}
-	db, ds := c.DU.DefBlock(v), c.DU.DefSlot(v)
-	if db == b {
-		if ds > slot {
-			return false
-		}
-	} else if !c.DT.Dominates(db, b) {
-		return false
-	}
-	for _, u := range c.DU.Uses(v) {
-		if int(u.Block) == b && u.Slot > slot {
-			return true
-		}
-	}
-	return c.Live.LiveOutBlock(v, b)
-}
-
 // DefOrder compares the definition points of a and b in the pre-DFS order
 // of the dominator tree: negative when def(a) precedes def(b), 0 when the
 // points coincide (components of one parallel copy or φs of one block).
 // Variables without a definition sort last.
 func (c *Checker) DefOrder(a, b ir.VarID) int {
-	if c.Reference {
-		return c.DefOrderReference(a, b)
-	}
 	c.ensureKeys()
 	switch ka, kb := c.defKey[a], c.defKey[b]; {
 	case ka < kb:
@@ -219,34 +179,9 @@ func (c *Checker) DefOrder(a, b ir.VarID) int {
 	return 0
 }
 
-// DefOrderReference derives both definition points per query, as the
-// pre-optimization implementation did.
-func (c *Checker) DefOrderReference(a, b ir.VarID) int {
-	ha, hb := c.DU.HasDef(a), c.DU.HasDef(b)
-	switch {
-	case !ha && !hb:
-		return int(a) - int(b)
-	case !ha:
-		return 1
-	case !hb:
-		return -1
-	}
-	pa, pb := c.DT.PreOrder(c.DU.DefBlock(a)), c.DT.PreOrder(c.DU.DefBlock(b))
-	if pa != pb {
-		return int(pa - pb)
-	}
-	if sa, sb := c.DU.DefSlot(a), c.DU.DefSlot(b); sa != sb {
-		return int(sa - sb)
-	}
-	return 0
-}
-
 // DefDominates reports whether the definition point of a dominates the
 // definition point of b (reflexively at equal points).
 func (c *Checker) DefDominates(a, b ir.VarID) bool {
-	if c.Reference {
-		return c.DefDominatesReference(a, b)
-	}
 	c.ensureKeys()
 	ka, kb := c.defKey[a], c.defKey[b]
 	if ka == noDef || kb == noDef {
@@ -268,23 +203,8 @@ func (c *Checker) DefDominates(a, b ir.VarID) bool {
 // UnreachableDef reports whether v is defined in a block the entry does
 // not reach.
 func (c *Checker) UnreachableDef(v ir.VarID) bool {
-	if c.Reference {
-		return c.DU.HasDef(v) && !c.DT.Reachable(c.DU.DefBlock(v))
-	}
 	c.ensureKeys()
 	return c.defKey[v]>>32 == 0 // the preorder half of an unreachable block is 0
-}
-
-// DefDominatesReference is the per-query derivation baseline.
-func (c *Checker) DefDominatesReference(a, b ir.VarID) bool {
-	if !c.DU.HasDef(a) || !c.DU.HasDef(b) {
-		return false
-	}
-	da, db := c.DU.DefBlock(a), c.DU.DefBlock(b)
-	if da == db {
-		return c.DU.DefSlot(a) <= c.DU.DefSlot(b)
-	}
-	return c.DT.Dominates(da, db)
 }
 
 // Intersect reports whether the live ranges of a and b share a point.

@@ -85,17 +85,6 @@ func (bd *Builder) Branch(cond VarID, then, els *Block) {
 	AddEdge(bd.Cur, els)
 }
 
-// BrDec terminates the current block with a branch-with-decrement: the
-// fresh result is counter-1 and the branch is taken to then if it is
-// non-zero. The result variable is returned.
-func (bd *Builder) BrDec(counter VarID, then, els *Block) VarID {
-	v := bd.F.NewVar("")
-	bd.emit(&Instr{Op: OpBrDec, Defs: []VarID{v}, Uses: []VarID{counter}})
-	AddEdge(bd.Cur, then)
-	AddEdge(bd.Cur, els)
-	return v
-}
-
 // Ret terminates the current block returning v (or nothing if v == NoVar).
 func (bd *Builder) Ret(v VarID) {
 	in := &Instr{Op: OpRet}

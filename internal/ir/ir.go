@@ -121,14 +121,6 @@ type Instr struct {
 	Aux  int64
 }
 
-// Def returns the single definition of the instruction, or NoVar.
-func (in *Instr) Def() VarID {
-	if len(in.Defs) == 1 {
-		return in.Defs[0]
-	}
-	return NoVar
-}
-
 // IsCopyOf reports whether in copies src into dst (either a plain copy or a
 // parallel-copy component).
 func (in *Instr) IsCopyOf(dst, src VarID) bool {
@@ -180,10 +172,6 @@ func (b *Block) PredIndex(p *Block) int {
 	}
 	return -1
 }
-
-// NumPoints returns the number of instruction slots in the block
-// (φ-functions count as a single parallel slot 0 when present).
-func (b *Block) NumPoints() int { return len(b.Phis) + len(b.Instrs) }
 
 // Func is a function: a variable universe plus a CFG. Blocks[0] is the
 // entry block. Block IDs always equal their index in Blocks.

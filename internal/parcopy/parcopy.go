@@ -9,15 +9,13 @@
 // duplicate-destination check — lives in a reusable Scratch keyed by
 // variable ID and validated with epoch stamps, so the rewrite phase of a
 // batch translation sequentializes thousands of parallel copies without
-// allocating per copy. The pre-scratch map-based implementation is kept as
-// SequentializeReference: it is the differential oracle of the scratch
-// engine and part of the ReferenceAlloc path BenchmarkTranslate times.
+// allocating per copy. The pre-scratch map-based implementation lives on
+// in the package's tests as the differential oracle of the scratch engine.
 package parcopy
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/ir"
 )
@@ -47,8 +45,6 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch for explicit reuse across runs.
 func NewScratch() *Scratch { return &Scratch{} }
-
-var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // prepare starts a new run over variables < n.
 func (sc *Scratch) prepare(n int) {
@@ -178,19 +174,6 @@ func (sc *Scratch) Sequentialize(dsts, srcs []ir.VarID, fresh func() ir.VarID) [
 	return sc.out
 }
 
-// Sequentialize is the pooled convenience form of Scratch.Sequentialize:
-// the working state comes from a package pool and the result is copied into
-// a caller-owned slice.
-func Sequentialize(dsts, srcs []ir.VarID, fresh func() ir.VarID) []Copy {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	seq := sc.Sequentialize(dsts, srcs, fresh)
-	if len(seq) == 0 {
-		return nil
-	}
-	return append([]Copy(nil), seq...)
-}
-
 // SequentializeInstr rewrites the parallel-copy instruction at index idx of
 // block b into plain copies inserted at its position, shifting the block
 // tail in place (no temporary tail copy) and allocating the copy
@@ -222,18 +205,6 @@ func (sc *Scratch) SequentializeInstr(f *ir.Func, b *ir.Block, idx int, fresh fu
 		}
 	}
 	return seq
-}
-
-// SequentializeInstr is the pooled convenience form of
-// Scratch.SequentializeInstr; the returned copies are caller-owned.
-func SequentializeInstr(f *ir.Func, b *ir.Block, idx int, fresh func() ir.VarID) []Copy {
-	sc := scratchPool.Get().(*Scratch)
-	defer scratchPool.Put(sc)
-	seq := sc.SequentializeInstr(f, b, idx, fresh)
-	if len(seq) == 0 {
-		return nil
-	}
-	return append([]Copy(nil), seq...)
 }
 
 // NaiveCount returns the number of copies a naive sequentializer would

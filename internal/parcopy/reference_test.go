@@ -9,10 +9,8 @@ import (
 // SequentializeReference is the pre-scratch implementation of Algorithm 1:
 // map-based loc/pred tables and a freshly allocated duplicate-destination
 // set per run. It is kept as the differential oracle of the scratch engine
-// and as part of the pre-pooling path core.Options.ReferenceAlloc selects
-// (the reference side of the translate differential tests and of
-// BenchmarkTranslate). Results are identical to Scratch.Sequentialize;
-// only allocation behavior differs.
+// (TestScratchMatchesReference). Results are identical to
+// Scratch.Sequentialize; only allocation behavior differs.
 func SequentializeReference(dsts, srcs []ir.VarID, fresh func() ir.VarID) []Copy {
 	if len(dsts) != len(srcs) {
 		panic("parcopy: mismatched parallel copy operand lists")
@@ -87,8 +85,8 @@ func SequentializeReference(dsts, srcs []ir.VarID, fresh func() ir.VarID) []Copy
 // SequentializeInstrReference is the pre-scratch instruction rewrite: it
 // heap-allocates one instruction and two operand slices per emitted copy
 // and splices them in by copying the block tail twice through nested
-// appends. Kept alongside SequentializeReference as part of the
-// ReferenceAlloc path.
+// appends. It is the oracle of Scratch.SequentializeInstr's in-place
+// splice (TestSequentializeInstrMatchesReference).
 func SequentializeInstrReference(f *ir.Func, b *ir.Block, idx int, fresh func() ir.VarID) []Copy {
 	in := b.Instrs[idx]
 	if in.Op != ir.OpParCopy {

@@ -12,29 +12,27 @@ import (
 // TestRunBatchPooledTranslateScratch: batch translation with per-worker
 // pooled core.Scratch reuse must not change the emitted code, the
 // aggregate statistics, or any per-affinity coalescing decision
-// (Result.Statuses) — compared against a sequential run of the
-// ReferenceAlloc baseline, which shares no working state at all. Workers
-// race over the scratch pool, so this is the test CI runs under -race
-// alongside the pooled-liveness-scratch one.
+// (Result.Statuses) — compared against a sequential run that translates
+// every function in a fresh core.Scratch, sharing no working state at
+// all. Workers race over the scratch pool, so this is the test CI runs
+// under -race alongside the pooled-liveness-scratch one.
 func TestRunBatchPooledTranslateScratch(t *testing.T) {
 	funcs := workload(t, 6071, 24)
 	for _, opt := range []core.Options{
 		{Strategy: core.Sharing, Linear: true, LiveCheck: true},
 		{Strategy: core.Value, Virtualize: true, LiveCheck: true, Linear: true},
 	} {
-		// Sequential reference: pre-pooling allocation behavior, fresh
-		// working state per function.
-		refOpt := opt
-		refOpt.ReferenceAlloc = true
+		// Sequential reference: fresh working state per function.
 		seq := make([]*ir.Func, len(funcs))
 		seqStatuses := make([][]coalesce.Status, len(funcs))
 		var seqStats core.Stats
 		for i, f := range funcs {
 			seq[i] = ir.Clone(f)
-			tr, err := core.NewTranslation(seq[i], refOpt, nil)
+			tr, err := core.NewTranslation(seq[i], opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr.SetScratch(core.NewScratch())
 			for _, phase := range []func() error{tr.Insert, tr.Analyze, tr.Coalesce, tr.Rewrite} {
 				if err := phase(); err != nil {
 					t.Fatal(err)

@@ -37,16 +37,15 @@ func TestRunBatchStorageLifetime(t *testing.T) {
 	funcs = append(funcs, large(3)...)
 
 	opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
-	refOpt := opt
-	refOpt.ReferenceAlloc = true
 	want := make([]string, len(funcs))
 	wantStatuses := make([][]coalesce.Status, len(funcs))
 	for i, f := range funcs {
 		g := ir.Clone(f)
-		tr, err := core.NewTranslation(g, refOpt, nil)
+		tr, err := core.NewTranslation(g, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		tr.SetScratch(core.NewScratch())
 		for _, phase := range []func() error{tr.Insert, tr.Analyze, tr.Coalesce, tr.Rewrite} {
 			if err := phase(); err != nil {
 				t.Fatal(err)

@@ -75,7 +75,7 @@ func allocRows(t *testing.T) []allocRow {
 	}
 	for _, c := range CoalesceCorpus(0.05) {
 		for _, bk := range coalesceBackends {
-			chk := c.NewChecker(false, bk.livecheck)
+			chk := c.NewChecker(bk.livecheck)
 			rows = append(rows, allocRow{rowKey("coalesce", c.Name, bk.name), func() { c.RunCoalesce(chk) }})
 		}
 	}

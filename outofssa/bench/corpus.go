@@ -18,7 +18,7 @@ import (
 // coalescing query path (φ/copy-dense), and the whole translation end to
 // end. Each is a pure function of its scale. The root testing.B
 // benchmarks time them, the differential tests check the optimized
-// engines against the kept reference paths on them, and TestGoldenCounts
+// engines against their test-only oracles on them, and TestGoldenCounts
 // and TestCorpusAllocs pin their deterministic counts and allocations.
 
 // countPhis returns the number of φ-functions of f.
@@ -120,9 +120,8 @@ func (c *CoalesceCase) Func() *ir.Func { return c.fn }
 func (c *CoalesceCase) Affs() []sreedhar.Affinity { return c.affs }
 
 // NewChecker builds an interference checker over the case with the given
-// query path (the optimized one, or the kept reference) and liveness
-// backend (the liveness checker, or bit-set liveness).
-func (c *CoalesceCase) NewChecker(reference, useLiveCheck bool) *interference.Checker {
+// liveness backend (the liveness checker, or bit-set liveness).
+func (c *CoalesceCase) NewChecker(useLiveCheck bool) *interference.Checker {
 	dt := dom.Build(c.fn)
 	du := ir.NewDefUse(c.fn)
 	var live interference.BlockLiveness
@@ -133,7 +132,7 @@ func (c *CoalesceCase) NewChecker(reference, useLiveCheck bool) *interference.Ch
 	}
 	return &interference.Checker{
 		F: c.fn, DT: dt, DU: du, Live: live,
-		Vals: ssa.Values(c.fn, dt), Reference: reference,
+		Vals: ssa.Values(c.fn, dt),
 	}
 }
 

@@ -57,7 +57,7 @@ func goldenCounts(t *testing.T) []string {
 	}
 	for _, c := range CoalesceCorpus(0.05) {
 		for _, bk := range coalesceBackends {
-			chk := c.NewChecker(false, bk.livecheck)
+			chk := c.NewChecker(bk.livecheck)
 			res := c.RunCoalesce(chk)
 			rows = append(rows, fmt.Sprintf("%s tests=%d coalesced=%d remaining=%d",
 				rowKey("coalesce", c.Name, bk.name), chk.Queries, res.Removed, res.RemainingCount))

@@ -31,8 +31,9 @@ func TestTranslateCorpusDeterministicAndValid(t *testing.T) {
 
 // TestTranslateEnginesAgree runs the differential check on the very unit of
 // work BenchmarkTranslate times: for every case and Figure 5 strategy, the
-// pooled engine (CloneInto + reused scratch) and the reference engine
-// (Clone + ReferenceAlloc) must emit byte-identical code and identical
+// pooled engine (CloneInto + reused scratch) and a translation in a fresh
+// scratch that no earlier run touched (Clone + TranslateInto with
+// core.NewScratch) must emit byte-identical code and identical
 // deterministic statistics.
 func TestTranslateEnginesAgree(t *testing.T) {
 	sc := core.NewScratch()
@@ -45,19 +46,17 @@ func TestTranslateEnginesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v pooled: %v", c.Name, s, err)
 			}
-			refOpt := opt
-			refOpt.ReferenceAlloc = true
-			refc := ir.Clone(c.Func())
-			stR, err := core.Translate(refc, refOpt)
+			fresh := ir.Clone(c.Func())
+			stF, err := core.TranslateInto(fresh, opt, nil, core.NewScratch())
 			if err != nil {
-				t.Fatalf("%s/%v reference: %v", c.Name, s, err)
+				t.Fatalf("%s/%v fresh: %v", c.Name, s, err)
 			}
-			if dst.String() != refc.String() {
+			if dst.String() != fresh.String() {
 				t.Fatalf("%s/%v: engines emit different code", c.Name, s)
 			}
-			if stP.RemainingCopies != stR.RemainingCopies || stP.FinalCopies != stR.FinalCopies {
-				t.Fatalf("%s/%v: stats diverge: pooled %d/%d reference %d/%d", c.Name, s,
-					stP.RemainingCopies, stP.FinalCopies, stR.RemainingCopies, stR.FinalCopies)
+			if stP.RemainingCopies != stF.RemainingCopies || stP.FinalCopies != stF.FinalCopies {
+				t.Fatalf("%s/%v: stats diverge: pooled %d/%d fresh %d/%d", c.Name, s,
+					stP.RemainingCopies, stP.FinalCopies, stF.RemainingCopies, stF.FinalCopies)
 			}
 		}
 	}

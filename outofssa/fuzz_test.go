@@ -186,23 +186,21 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzTranslate is the differential oracle as a fuzz target: any function
-// the parser and SSA verifier accept must translate identically (success
-// or failure) under the reference machinery (linear scans, per-query
-// recomputation, no pooled state) and the optimized default (fast
-// liveness, linear class test), and both outputs must preserve the
-// pristine function's observable behaviour under the interpreter — as
-// translated, and as printed and parsed back, which is what a client of
-// ssad receives. The printed check needs names the grammar can carry
-// (wireNames).
+// FuzzTranslate is the differential oracle as a fuzz target. Any function
+// the parser and SSA verifier accept must translate identically under two
+// independent engines: the paper's baseline machinery (dataflow liveness
+// sets, the bit-matrix interference graph, the quadratic class test) and
+// the optimized default (fast liveness checking, direct queries, the
+// linear class test). Both must succeed or fail together and print the
+// same text. Both outputs must preserve the pristine function's observable
+// behaviour under the interpreter — as translated, and as printed and
+// parsed back, which is what a client of ssad receives. The printed check
+// needs names the grammar can carry (wireNames).
 func FuzzTranslate(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
-	refOpts := outofssa.DefaultOptions()
-	refOpts.ReferenceQueries = true
-	refOpts.ReferenceAlloc = true
-	ref, err := outofssa.New(outofssa.WithOptions(refOpts))
+	ref, err := outofssa.New(outofssa.WithInterferenceGraph(true), outofssa.WithLinearClassTest(false))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -231,6 +229,10 @@ func FuzzTranslate(f *testing.F) {
 		}
 		if refErr != nil {
 			return // both reject (e.g. not strict SSA): consistent, done
+		}
+		if r, o := refRes.Func.String(), optRes.Func.String(); r != o {
+			t.Fatalf("reference and optimized print different code\ninput:\n%s\nreference:\n%s\noptimized:\n%s",
+				pristine, r, o)
 		}
 
 		outs := []*outofssa.Func{refRes.Func, optRes.Func}

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,7 +21,7 @@ import (
 // Client talks to one daemon. The zero value is not usable; use New. Every
 // call makes exactly one HTTP request and never retries: a shed request
 // (HTTP 429) comes back as an *APIError whose RetryAfter carries the
-// server's hint (IsOverloaded), and backing off is the caller's choice.
+// server's hint, and backing off is the caller's choice.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -49,16 +48,6 @@ type APIError struct {
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("serve client: %d: %s", e.StatusCode, e.Message)
-}
-
-// IsOverloaded reports whether err is the daemon shedding load (HTTP 429);
-// the caller should back off for the embedded RetryAfter.
-func IsOverloaded(err error) (time.Duration, bool) {
-	var ae *APIError
-	if errors.As(err, &ae) && ae.StatusCode == http.StatusTooManyRequests {
-		return ae.RetryAfter, true
-	}
-	return 0, false
 }
 
 // Translate submits one function.

@@ -55,11 +55,11 @@ func TestRetryAfterBothForms(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ts, calls := flaky(t, 1, header)
 			_, err := New(ts.URL, nil).Translate(context.Background(), serve.TranslateRequest{Source: translateSrc})
-			ra, overloaded := IsOverloaded(err)
-			if !overloaded {
+			var ae *APIError
+			if !errors.As(err, &ae) || ae.StatusCode != http.StatusTooManyRequests {
 				t.Fatalf("want 429 APIError, got %v", err)
 			}
-			if ra < 5*time.Second || ra > 8*time.Second {
+			if ra := ae.RetryAfter; ra < 5*time.Second || ra > 8*time.Second {
 				t.Fatalf("RetryAfter = %v, want ~7s", ra)
 			}
 			if n := calls.Load(); n != 1 {
