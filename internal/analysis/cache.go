@@ -135,6 +135,10 @@ func (c *Cache) UseStorage(st *Storage) {
 	c.st = st
 }
 
+// Storage returns the installed storage, or nil when analyses are built
+// in fresh memory.
+func (c *Cache) Storage() *Storage { return c.st }
+
 // Dom returns the dominator tree, rebuilding it only when the block/edge
 // structure changed since it was computed.
 func (c *Cache) Dom() *dom.Tree {

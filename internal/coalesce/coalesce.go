@@ -6,8 +6,9 @@
 package coalesce
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/congruence"
 	"repro/internal/interference"
@@ -221,15 +222,14 @@ func sortOrder(sc *Scratch, affs []sreedhar.Affinity, groupPhis bool) []int {
 		}
 		keys[i] = sortKey{group: g, weight: a.Weight, idx: int32(i)}
 	}
-	sort.Slice(keys, func(x, y int) bool {
-		kx, ky := &keys[x], &keys[y]
-		if kx.group != ky.group {
-			return kx.group < ky.group
+	slices.SortFunc(keys, func(x, y sortKey) int {
+		if x.group != y.group {
+			return cmp.Compare(x.group, y.group)
 		}
-		if kx.weight != ky.weight {
-			return kx.weight > ky.weight
+		if x.weight != y.weight {
+			return cmp.Compare(y.weight, x.weight)
 		}
-		return kx.idx < ky.idx
+		return cmp.Compare(x.idx, y.idx)
 	})
 	for i := range keys {
 		order[i] = int(keys[i].idx)

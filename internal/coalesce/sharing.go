@@ -1,7 +1,8 @@
 package coalesce
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/sreedhar"
@@ -61,8 +62,8 @@ func Share(m *Machinery, affs []sreedhar.Affinity, res *Result) int {
 		}
 	}
 	sc.shOrder = order
-	sort.SliceStable(order, func(x, y int) bool {
-		return affs[order[x]].Weight > affs[order[y]].Weight
+	slices.SortStableFunc(order, func(x, y int) int {
+		return cmp.Compare(affs[y].Weight, affs[x].Weight)
 	})
 
 	removed := 0

@@ -87,6 +87,9 @@ type arrays struct {
 	// stack is the reusable dominance-forest traversal stack of the linear
 	// checks and of recomputeEqualAnc (one live traversal at a time).
 	stack []stackEntry
+
+	// keyed is MergeSingletons' sort buffer.
+	keyed []keyedVar
 }
 
 // reset sizes the arrays for the variables vars, reusing their capacity,

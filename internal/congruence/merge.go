@@ -1,6 +1,11 @@
 package congruence
 
-import "repro/internal/ir"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/ir"
+)
 
 // Merge coalesces the classes of a and b. It must be called right after an
 // InterferesLinear(a, b) call that returned false: the equal-intersecting-
@@ -33,6 +38,64 @@ func (c *Classes) MergeForced(a, b ir.VarID) ir.VarID {
 	merged := c.mergeRoots(ra, rb)
 	c.recomputeEqualAnc(merged)
 	return c.link(ra, rb, merged)
+}
+
+// MergeSingletons coalesces the singleton classes of vs into one class
+// rooted at vs[0], with the register label of its members — the φ-nodes of
+// Method I and the groups of variables pinned to one register, whose
+// members are coalesced by construction. It builds in one pass the class
+// that MergeForced(vs[0], vs[i]) for every later member builds: the
+// members are sorted once by the checker's packed def key then variable ID
+// (the order less defines), linked under vs[0], and the equal-
+// intersecting-ancestor chains are computed with one stack traversal
+// instead of one per merge. A member that is not a singleton class, or
+// appears twice, can only come from a bug in the caller; it panics, as
+// does a pair of members pinned to different registers.
+func (c *Classes) MergeSingletons(vs []ir.VarID) ir.VarID {
+	root := vs[0]
+	keyed := c.keyed[:0]
+	reg := ""
+	for i, v := range vs {
+		if c.Find(v) != v || c.lists[v] != nil || i > 0 && v == root {
+			panic("congruence: forced class member " + c.chk.F.VarName(v) + " is not a singleton class")
+		}
+		if r := c.reg[v]; r != "" {
+			if reg != "" && reg != r {
+				panic("congruence: cannot merge classes pinned to different registers " + reg + " and " + r)
+			}
+			reg = r
+			c.reg[v] = ""
+		}
+		if i > 0 {
+			c.parent[v] = root
+		}
+		keyed = append(keyed, keyedVar{c.chk.DefKey(v), v})
+	}
+	c.reg[root] = reg
+	c.keyed = keyed
+	if len(vs) == 1 {
+		return root
+	}
+	slices.SortFunc(keyed, func(x, y keyedVar) int {
+		if x.key != y.key {
+			return cmp.Compare(x.key, y.key)
+		}
+		return cmp.Compare(x.v, y.v)
+	})
+	list := c.takeList(len(keyed))
+	for _, k := range keyed {
+		list = append(list, k.v)
+	}
+	c.lists[root] = list
+	c.recomputeEqualAnc(list)
+	return root
+}
+
+// keyedVar is a variable with its packed def-point key, the sort record of
+// MergeSingletons.
+type keyedVar struct {
+	key uint64
+	v   ir.VarID
 }
 
 // MergeSimple coalesces two classes without maintaining the equal-

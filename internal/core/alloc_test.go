@@ -23,11 +23,12 @@ func midSizeFunc(t testing.TB) *ir.Func {
 // Scratch — of a mid-size function stays under a small fixed allocation
 // bound, for both liveness-set backends and for the fast liveness checker.
 // The dominator tree, the def-use index and the checker are rebuilt in the
-// scratch's analysis storage; the remaining allocations are per-translation
-// results (analysis cache, value table, liveness info), each a constant
-// number of allocations independent of how many copies the translation
-// inserts; the mutation phases themselves allocate nothing in steady
-// state. The ordered backend's bound is higher because the paper's
+// scratch's analysis storage, and the value table lives in the scratch too;
+// the remaining allocations are per-translation records (the analysis
+// cache, the Translation and its statistics, the interference checker, the
+// congruence classes, the coalescing result, liveness info), each a
+// constant number of allocations independent of how many copies the
+// translation inserts, plus the blocks edge splitting adds to the clone. The ordered backend's bound is higher because the paper's
 // measured set representation allocates exact-size slices on every set
 // union by design (its Figure 7 footprint honesty depends on it).
 func TestTranslateSteadyStateAllocs(t *testing.T) {

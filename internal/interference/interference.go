@@ -179,6 +179,15 @@ func (c *Checker) DefOrder(a, b ir.VarID) int {
 	return 0
 }
 
+// DefKey returns v's packed def-point key. Comparing two variables' keys,
+// and their IDs when the keys tie, orders them as DefOrder does with the
+// variable ID breaking its ties: variables without a definition share the
+// largest key.
+func (c *Checker) DefKey(v ir.VarID) uint64 {
+	c.ensureKeys()
+	return c.defKey[v]
+}
+
 // DefDominates reports whether the definition point of a dominates the
 // definition point of b (reflexively at equal points).
 func (c *Checker) DefDominates(a, b ir.VarID) bool {

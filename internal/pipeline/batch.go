@@ -104,33 +104,43 @@ func RunBatchFunc(ctx context.Context, funcs []*ir.Func, p *Pipeline, workers in
 	return res
 }
 
-// runOne pushes funcs[i] through the pipeline on worker-owned working
-// state: sc is the worker's private core.Scratch for the whole batch, and
-// its liveness scratch additionally serves every liveness (re)computation
-// the function's analysis cache performs — no global sync.Pool traffic,
-// and with it no cross-core contention, on the per-function path. Every
-// attachment is detached before the context escapes to the caller, so
-// post-batch use of a Context can never race a scratch now owned by
-// someone else, nor read analyses the worker rebuilt for a later function.
+// runOne pushes funcs[i] through the pipeline inside the worker's scratch
+// sc (see runIn).
 func runOne(ctx context.Context, p *Pipeline, funcs []*ir.Func, res *BatchResult, i int, sc *core.Scratch) {
 	pctx := NewContext(funcs[i])
-	pctx.Cache.SetLivenessScratch(sc.LivenessScratch())
-	pctx.Scratch = sc
 	res.Contexts[i] = pctx
-	res.Errs[i] = runSafe(ctx, p, pctx)
-	detach(pctx)
-	pctx.Cache.SetLivenessScratch(nil)
+	res.Errs[i] = runIn(ctx, p, pctx, sc)
 }
 
-// detach ends pctx's use of any scratch before the context escapes. A
-// translation that failed before its rewrite phase still holds its scratch
-// and the analyses built in the scratch's storage; releasing it drops them
-// from the cache and returns a pool-drawn scratch to the pool.
-func detach(pctx *Context) {
+// runIn pushes pctx.Func through the pipeline on worker-owned working
+// state, from the first pass to the last: sc is the worker's private
+// core.Scratch, its analysis storage is where the function's cache builds
+// the dominator tree, the def-use index and the liveness checker (so the
+// verification pass's tree is built in the worker's arrays and the
+// translation reuses it), its SSA tables serve verification and value
+// numbering, and its liveness scratch serves every liveness
+// (re)computation — no global sync.Pool traffic, and with it no
+// cross-core contention, on the per-function path. Every attachment is
+// detached before the context escapes to the caller, on every path
+// (success, pass failure, memo hit, failed verification), so post-run use
+// of a Context can never race a scratch now owned by someone else, nor
+// read analyses the worker rebuilt for a later function.
+func runIn(ctx context.Context, p *Pipeline, pctx *Context, sc *core.Scratch) error {
+	pctx.Scratch = sc
+	pctx.Cache.UseStorage(sc.AnalysisStorage())
+	pctx.Cache.SetLivenessScratch(sc.LivenessScratch())
+	err := runSafe(ctx, p, pctx)
+	// A translation that failed before its rewrite phase still holds the
+	// scratch. Detaching the storage makes the cache drop every analysis
+	// built in it, so a later request rebuilds in fresh memory for its own
+	// function.
 	if pctx.Translation != nil {
 		pctx.Translation.Release()
 	}
 	pctx.Scratch = nil
+	pctx.Cache.UseStorage(nil)
+	pctx.Cache.SetLivenessScratch(nil)
+	return err
 }
 
 // runBatchSeq is the single-worker fast path: input order, no goroutines,

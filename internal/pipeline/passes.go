@@ -44,12 +44,17 @@ func CopyProp() Pass {
 }
 
 // VerifySSA returns a read-only pass that checks strict SSA form; it warms
-// the cached dominator tree for the passes behind it.
+// the cached dominator tree for the passes behind it. Its definition table
+// lives in the context's scratch when one is installed.
 func VerifySSA() Pass {
 	return Pass{
 		Name: "verify-ssa",
 		Run: func(ctx *Context) error {
-			return ssa.Verify(ctx.Func, ctx.Cache.Dom())
+			var sc *ssa.Scratch
+			if ctx.Scratch != nil {
+				sc = ctx.Scratch.SSAScratch()
+			}
+			return ssa.VerifyIn(ctx.Func, ctx.Cache.Dom(), sc)
 		},
 	}
 }

@@ -67,10 +67,13 @@ type Context struct {
 	// it rather than computing their own.
 	Cache *Cache
 	// Scratch, when non-nil, is the pooled per-worker working state the
-	// out-of-SSA phases translate in. The batch driver installs one per
-	// worker so every function that worker processes reuses the same
-	// buffers; a nil Scratch makes the translation draw one from the core
-	// package pool for its own duration.
+	// passes run in: verification's definition table and the out-of-SSA
+	// phases come from it. The pipeline runner (RunBatch's workers and
+	// Pipeline.Run) installs one for the function's whole run, together
+	// with its analysis storage in Cache, so every function a worker
+	// processes reuses the same buffers; a nil Scratch, as in a context
+	// stepped pass by pass with Apply, makes the translation draw one from
+	// the core package pool for its own duration.
 	Scratch *core.Scratch
 
 	// Memo, when non-nil, is the shared translation memo the out-of-SSA
@@ -153,17 +156,18 @@ type Pipeline struct {
 // New assembles a pipeline from the given passes.
 func New(passes ...Pass) *Pipeline { return &Pipeline{passes: passes} }
 
-// Run pushes f through the pipeline and returns the final context. ctx
-// cancellation is observed between passes: a canceled run returns the
-// context's error and leaves the function in whatever state the completed
-// passes produced, with a translation the failure interrupted released.
+// Run pushes f through the pipeline and returns the final context. It runs
+// the function the way a batch worker does, inside one scratch drawn from
+// the core pool for the call, so every pass builds its analyses in the
+// scratch's storage. ctx cancellation is observed between passes: a
+// canceled run returns the context's error and leaves the function in
+// whatever state the completed passes produced. On every path the
+// returned context holds nothing of the scratch.
 func (p *Pipeline) Run(ctx context.Context, f *ir.Func) (*Context, error) {
+	sc := core.GetScratch()
+	defer core.PutScratch(sc)
 	pctx := NewContext(f)
-	err := p.RunContext(ctx, pctx)
-	if err != nil {
-		detach(pctx)
-	}
-	return pctx, err
+	return pctx, runIn(ctx, p, pctx, sc)
 }
 
 // RunContext pushes pctx.Func through the pipeline on an existing

@@ -33,9 +33,7 @@ func RunBatchReference(ctx context.Context, funcs []*ir.Func, p *Pipeline, worke
 				break
 			}
 			res.Contexts[i] = NewContext(funcs[i])
-			res.Contexts[i].Scratch = sc
-			res.Errs[i] = runSafe(ctx, p, res.Contexts[i])
-			detach(res.Contexts[i])
+			res.Errs[i] = runIn(ctx, p, res.Contexts[i], sc)
 		}
 		core.PutScratch(sc)
 	} else {
@@ -49,9 +47,7 @@ func RunBatchReference(ctx context.Context, funcs []*ir.Func, p *Pipeline, worke
 				defer core.PutScratch(sc)
 				for i := range next {
 					res.Contexts[i] = NewContext(funcs[i])
-					res.Contexts[i].Scratch = sc
-					res.Errs[i] = runSafe(ctx, p, res.Contexts[i])
-					detach(res.Contexts[i])
+					res.Errs[i] = runIn(ctx, p, res.Contexts[i], sc)
 				}
 			}()
 		}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/ir"
 	"repro/internal/livecheck"
+	"repro/internal/ssa"
 )
 
 // TestRunBatchStorageLifetime: workers rebuild the dominator tree, the
@@ -98,6 +99,108 @@ func TestRunBatchStorageLifetime(t *testing.T) {
 			}
 			if got := statuses(pctx); !slices.Equal(got, wantStatuses[i]) {
 				t.Fatalf("workers=%d func %d: statuses %v, want %v", workers, i, got, wantStatuses[i])
+			}
+			checkDom(t, pctx)
+		}
+	}
+}
+
+// defineTwice returns a clone of f whose entry block defines its first
+// variable a second time, so verification rejects it.
+func defineTwice(f *ir.Func) *ir.Func {
+	g := ir.Clone(f)
+	entry := g.Entry()
+	v := entry.Instrs[0].Defs[0]
+	ir.InsertBefore(entry, len(entry.Instrs)-1, &ir.Instr{Op: ir.OpCopy, Defs: []ir.VarID{v}, Uses: []ir.VarID{v}})
+	return g
+}
+
+// TestRunBatchStorageWindow: the worker's analysis storage is installed
+// before a function's first pass and detached after its last, whatever the
+// run's outcome. The corpus interleaves large and small functions with
+// functions verification rejects (a variable defined twice), which leave a
+// dominator tree in the storage, and with functions that fail between
+// coalescing and rewriting, which leave the dominator tree, the def-use
+// index and the liveness checker there. Some functions repeat at the end,
+// so that with a shared memo the second copy is a memo hit. After the
+// batch every context's cache must describe its own function: the
+// dominator tree for every context, and the def-use index and the liveness
+// checker too for the functions still in SSA form.
+func TestRunBatchStorageWindow(t *testing.T) {
+	large := func(seed int64, scale float64) *ir.Func {
+		p := cfggen.LargeTranslateProfile("window", seed, scale)
+		p.Funcs = 1
+		return cfggen.GenerateLarge(p)[0]
+	}
+	small := workload(t, 91, 8)
+	funcs := []*ir.Func{
+		large(11, 0.4), small[0], defineTwice(small[1]), small[2],
+		defineTwice(large(12, 0.3)), small[3], large(13, 0.2), small[4],
+		defineTwice(small[5]), large(14, 0.4), small[6], small[7], large(15, 0.3),
+	}
+	failing := map[int]bool{3: true, 9: true, 11: true} // fail before the rewrite
+	original := len(funcs)
+	for _, i := range []int{0, 1, 6, 7, 12} {
+		funcs = append(funcs, funcs[i])
+	}
+
+	opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
+	want := make([]string, len(funcs))
+	for i, f := range funcs {
+		if ssa.Verify(f, dom.Build(f)) != nil {
+			continue // verification must reject it
+		}
+		g := ir.Clone(f)
+		if _, err := core.TranslateInto(g, opt, nil, core.NewScratch()); err != nil {
+			t.Fatalf("func %d: %v", i, err)
+		}
+		want[i] = g.String()
+	}
+
+	errInjected := errors.New("injected failure")
+	for _, workers := range []int{1, 2} {
+		clones := make([]*ir.Func, len(funcs))
+		fail := map[*ir.Func]bool{}
+		for i, f := range funcs {
+			clones[i] = ir.Clone(f)
+			fail[clones[i]] = failing[i]
+		}
+		passes := OutOfSSAWithMemo(opt, core.NewMemo(0, 0))
+		pl := New(VerifySSA(), passes[0], passes[1], passes[2], Pass{
+			Name: "fail-some",
+			Run: func(ctx *Context) error {
+				if fail[ctx.Func] {
+					return errInjected
+				}
+				return nil
+			},
+		}, passes[3])
+		res := RunBatch(context.Background(), clones, pl, workers)
+		for i, g := range clones {
+			pctx := res.Contexts[i]
+			var pe *PassError
+			switch {
+			case want[i] == "":
+				if !errors.As(res.Errs[i], &pe) || pe.Pass != "verify-ssa" {
+					t.Fatalf("workers=%d func %d: err %v, want a verify-ssa failure", workers, i, res.Errs[i])
+				}
+			case failing[i]:
+				if !errors.Is(res.Errs[i], errInjected) {
+					t.Fatalf("workers=%d func %d: err %v, want the injected failure", workers, i, res.Errs[i])
+				}
+				checkDefUse(t, pctx)
+				checkLiveCheck(t, pctx)
+			default:
+				if res.Errs[i] != nil {
+					t.Fatalf("workers=%d func %d: %v", workers, i, res.Errs[i])
+				}
+				if workers == 1 && pctx.MemoHit != (i >= original) {
+					t.Fatalf("workers=%d func %d: memo hit %v, want %v", workers, i, pctx.MemoHit, i >= original)
+				}
+				if g.String() != want[i] {
+					t.Fatalf("workers=%d func %d: batch IR differs from a fresh-scratch translation:\n--- want\n%s--- got\n%s",
+						workers, i, want[i], g)
+				}
 			}
 			checkDom(t, pctx)
 		}

@@ -14,14 +14,26 @@ import (
 // The value of a class is the variable whose definition dominates the
 // definitions of all other members, so V is idempotent: V(V(x)) = V(x).
 // Variables without a definition get themselves as value.
-func Values(f *ir.Func, dt *dom.Tree) []ir.VarID {
-	vals := make([]ir.VarID, len(f.Vars))
+func Values(f *ir.Func, dt *dom.Tree) []ir.VarID { return ValuesIn(f, dt, nil) }
+
+// ValuesIn is Values with the value array in sc's memory; nil draws a
+// fresh array. The result aliases sc and stays valid until sc's next
+// ValuesIn.
+func ValuesIn(f *ir.Func, dt *dom.Tree, sc *Scratch) []ir.VarID {
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	vals := resize(sc.vals, len(f.Vars))
+	sc.vals = vals
 	for i := range vals {
 		vals[i] = ir.VarID(i)
 	}
-	var walk func(bID int)
-	walk = func(bID int) {
-		b := f.Blocks[bID]
+	// Preorder walk of the dominator tree: children are pushed last first,
+	// so they pop in the order Children lists them.
+	stack := append(sc.stack[:0], f.Entry().ID)
+	for len(stack) > 0 {
+		b := f.Blocks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
 		for _, in := range b.Phis {
 			vals[in.Defs[0]] = in.Defs[0]
 		}
@@ -39,10 +51,11 @@ func Values(f *ir.Func, dt *dom.Tree) []ir.VarID {
 				}
 			}
 		}
-		for _, c := range dt.Children(bID) {
-			walk(c)
+		kids := dt.Children(b.ID)
+		for i := len(kids) - 1; i >= 0; i-- {
+			stack = append(stack, kids[i])
 		}
 	}
-	walk(f.Entry().ID)
+	sc.stack = stack
 	return vals
 }

@@ -21,13 +21,21 @@ type defPoint struct{ block, slot int32 }
 // otherwise the failing use with the smallest (variable, block) is, which
 // is the use a scan of every variable's (block, slot)-sorted use list
 // would hit first.
-func Verify(f *ir.Func, dt *dom.Tree) error {
+func Verify(f *ir.Func, dt *dom.Tree) error { return VerifyIn(f, dt, nil) }
+
+// VerifyIn is Verify with its definition table in sc's memory; nil draws a
+// fresh table.
+func VerifyIn(f *ir.Func, dt *dom.Tree, sc *Scratch) error {
 	if err := ir.Verify(f); err != nil {
 		return err
 	}
-	defs := make([]defPoint, len(f.Vars))
+	if sc == nil {
+		sc = &Scratch{}
+	}
+	defs := resize(sc.defs, len(f.Vars))
+	sc.defs = defs
 	for i := range defs {
-		defs[i].block = -1
+		defs[i] = defPoint{block: -1}
 	}
 	def := func(v ir.VarID, b int, slot int32) error {
 		if defs[v].block >= 0 {

@@ -142,9 +142,7 @@ func (c *CoalesceCase) NewChecker(useLiveCheck bool) *interference.Checker {
 func (c *CoalesceCase) RunCoalesce(chk *interference.Checker) *coalesce.Result {
 	classes := congruence.New(chk)
 	for _, node := range c.ins.PhiNodes {
-		for i := 1; i < len(node); i++ {
-			classes.MergeForced(node[0], node[i])
-		}
+		classes.MergeSingletons(node)
 	}
 	m := &coalesce.Machinery{Chk: chk, Classes: classes, Linear: true}
 	return coalesce.Run(m, c.affs, coalesce.Value, false)
