@@ -8,7 +8,9 @@
 //	ssagen -funcs 8 | curl -sN --data-binary @- 'localhost:8377/v1/batch?quiet=true'
 //	curl -s localhost:8377/v1/stats
 //
-// Endpoints: POST /v1/translate (one function → JSON), POST /v1/batch
+// Endpoints: POST /v1/translate (one function → JSON, or with
+// "Accept: text/plain" the translated IR as the body and the other fields
+// in the Ssa-Result header), POST /v1/batch
 // (many functions → NDJSON stream in completion order), GET /v1/stats
 // (cumulative Figure 5-style counters, cache hit rates, latency
 // quantiles), GET /healthz. Each request selects its own coalescing

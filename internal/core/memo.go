@@ -22,7 +22,8 @@ var (
 // Memo is a concurrency-safe, bounded store of completed translations,
 // keyed by the input function's structural fingerprint plus an options
 // fingerprint. On a hit the stored output is materialized into the caller's
-// function with the zero-alloc ir.CloneInto and the caller's variable
+// function with ir.CloneInto, which carves the block lists from a few
+// arrays sized by the output's totals, and the caller's variable
 // identities (names, register pins, derivation links) are restored over the
 // original universe prefix, so a memoized result is bit-identical to a
 // fresh translation of the same input modulo the display names of

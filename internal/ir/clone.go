@@ -3,19 +3,27 @@ package ir
 // Clone returns a deep copy of f: fresh blocks, instructions, and variable
 // records, with edges rewired to the copies. The benchmark harness
 // translates each function once per configuration, so the original must
-// stay pristine. The copy's records come from its own arenas (slab.go), so
-// a clone costs one allocation per arena chunk rather than one per object.
+// stay pristine. The copy's records come from its own arenas (slab.go) and
+// its block lists from a few arrays sized by f's totals, so a clone costs
+// a fixed number of allocations rather than one per object.
 func Clone(f *Func) *Func {
 	return CloneInto(NewFunc(f.Name), f)
 }
 
 // CloneInto rebuilds dst as a deep copy of src and returns dst. All of
-// dst's previous contents are discarded; its block records, slice backing
-// arrays, and arenas are reused, so in steady state — cloning the same
-// pristine template into the same destination between translations, as
-// perfbench and BenchmarkTranslate restore their inputs — the copy
-// performs no heap allocation at all. dst and src must be different functions, and nothing
-// may retain pointers into dst's previous incarnation.
+// dst's previous contents are discarded; its block records and arenas are
+// reused. A record takes the block it took at the previous CloneInto into
+// dst, wherever edge splits and cleanup moved it since. Every list of
+// every record dst holds, the spare records' included, is carved from two
+// arrays dst keeps for the purpose, one of edges and one of instructions,
+// and keeps the capacity it had grown to, clamped so that an append past
+// it reallocates privately instead of overwriting its neighbour. So
+// cloning into a freshly parsed function, as a memo hit does, takes a
+// fixed number of allocations whatever the function's size, and restoring
+// the same pristine template into the same destination between
+// translations, as perfbench does, allocates nothing from the third call
+// on. dst and src must be different functions, and nothing may retain
+// pointers into dst's previous incarnation.
 func CloneInto(dst, src *Func) *Func {
 	if dst == src {
 		panic("ir: CloneInto onto itself")
@@ -23,54 +31,127 @@ func CloneInto(dst, src *Func) *Func {
 	dst.Name = src.Name
 	dst.NumParams = src.NumParams
 	dst.resetArenas()
+	// Whole chunks, as growing chunk by chunk would hold: the chunk tails
+	// take the copies and variables a translation of the clone mints.
+	_, instrs, operands := src.listTotals()
+	dst.vars.reserve(len(src.Vars), varChunk)
+	dst.instrs.reserve(instrs, instrChunk)
+	dst.ids.reserve(operands)
 
 	// Variables: value-copy every record into arena storage.
-	dst.Vars = growVars(dst.Vars[:0], len(src.Vars))
+	dst.Vars = growList(dst.Vars, len(src.Vars))
 	for i, v := range src.Vars {
 		nv := dst.vars.alloc()
 		*nv = *v
 		dst.Vars[i] = nv
 	}
 
-	// Blocks: reuse dst's old block records where available so their
-	// Preds/Succs/Phis/Instrs backing arrays survive; surplus records go to
-	// the spare list, shortfalls draw from it.
-	old := dst.Blocks
-	for i := len(src.Blocks); i < len(old); i++ {
-		dst.retireBlock(old[i])
-	}
-	dst.Blocks = growBlocks(dst.Blocks[:0], len(src.Blocks))
-	for i, b := range src.Blocks {
-		var nb *Block
-		if i < len(old) {
-			nb = old[i]
-			nb.Preds = nb.Preds[:0]
-			nb.Succs = nb.Succs[:0]
-			nb.Phis = nb.Phis[:0]
-			nb.Instrs = nb.Instrs[:0]
+	// Blocks: each record goes back to the block it took last time; the
+	// others become spares, and the blocks left over take spares and then
+	// records from one fresh array.
+	n := len(src.Blocks)
+	pool := append(dst.spareBlocks, dst.Blocks...)
+	dst.Blocks = growList(dst.Blocks, n)
+	clear(dst.Blocks)
+	spares := pool[:0]
+	for _, r := range pool {
+		if i := r.cloned - 1; i >= 0 && i < n && dst.Blocks[i] == nil {
+			dst.Blocks[i] = r
 		} else {
-			nb = dst.takeBlock()
+			spares = append(spares, r)
 		}
-		nb.ID, nb.Name, nb.Freq = b.ID, b.Name, b.Freq
-		dst.Blocks[i] = nb
 	}
+	var fresh []Block
+	if k := n - len(pool); k > 0 {
+		fresh = make([]Block, k)
+	}
+	edgeCap, codeCap := 0, 0
 	for i, b := range src.Blocks {
 		nb := dst.Blocks[i]
-		for _, p := range b.Preds {
-			nb.Preds = append(nb.Preds, dst.Blocks[p.ID])
+		switch {
+		case nb != nil:
+		case len(spares) > 0:
+			nb, spares = spares[len(spares)-1], spares[:len(spares)-1]
+		default:
+			nb, fresh = &fresh[0], fresh[1:]
 		}
-		for _, s := range b.Succs {
-			nb.Succs = append(nb.Succs, dst.Blocks[s.ID])
+		nb.ID, nb.Name, nb.Freq, nb.cloned = b.ID, b.Name, b.Freq, i+1
+		dst.Blocks[i] = nb
+		edgeCap += max(len(b.Preds), cap(nb.Preds)) + max(len(b.Succs), cap(nb.Succs))
+		codeCap += max(len(b.Phis), cap(nb.Phis)) + max(len(b.Instrs), cap(nb.Instrs))
+	}
+	dst.spareBlocks = spares
+	for _, r := range spares {
+		r.cloned = 0
+		edgeCap += cap(r.Preds) + cap(r.Succs)
+		codeCap += cap(r.Phis) + cap(r.Instrs)
+	}
+
+	// Lists: carve them all, so no list still points into a region of
+	// the arrays that another list receives.
+	dst.edgeStore = growList(dst.edgeStore, edgeCap)
+	dst.codeStore = growList(dst.codeStore, codeCap)
+	edges, code := dst.edgeStore, dst.codeStore
+	for i, b := range src.Blocks {
+		nb := dst.Blocks[i]
+		nb.Preds = carveList(&edges, nb.Preds, len(b.Preds))
+		for j, p := range b.Preds {
+			nb.Preds[j] = dst.Blocks[p.ID]
 		}
-		for _, in := range b.Phis {
-			nb.Phis = append(nb.Phis, cloneInstrInto(dst, in))
+		nb.Succs = carveList(&edges, nb.Succs, len(b.Succs))
+		for j, s := range b.Succs {
+			nb.Succs[j] = dst.Blocks[s.ID]
 		}
-		for _, in := range b.Instrs {
-			nb.Instrs = append(nb.Instrs, cloneInstrInto(dst, in))
+		nb.Phis = carveList(&code, nb.Phis, len(b.Phis))
+		for j, in := range b.Phis {
+			nb.Phis[j] = cloneInstrInto(dst, in)
 		}
+		nb.Instrs = carveList(&code, nb.Instrs, len(b.Instrs))
+		for j, in := range b.Instrs {
+			nb.Instrs[j] = cloneInstrInto(dst, in)
+		}
+	}
+	for _, r := range spares {
+		r.Preds = carveList(&edges, r.Preds, 0)
+		r.Succs = carveList(&edges, r.Succs, 0)
+		r.Phis = carveList(&code, r.Phis, 0)
+		r.Instrs = carveList(&code, r.Instrs, 0)
 	}
 	dst.MarkCFGMutated()
 	return dst
+}
+
+// carveList cuts a list of length n from the front of *store, with the
+// capacity of old where that is larger, clamped there.
+func carveList[T any](store *[]T, old []T, n int) []T {
+	c := max(n, cap(old))
+	s := (*store)[:n:c]
+	*store = (*store)[c:]
+	return s
+}
+
+// growList returns s extended to length n, reusing its capacity.
+func growList[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// listTotals sums the lengths of f's edge lists (Preds and Succs),
+// instruction lists (Phis and Instrs) and operand lists (Defs and Uses).
+func (f *Func) listTotals() (edges, instrs, operands int) {
+	for _, b := range f.Blocks {
+		edges += len(b.Preds) + len(b.Succs)
+		instrs += len(b.Phis) + len(b.Instrs)
+		for _, in := range b.Phis {
+			operands += len(in.Defs) + len(in.Uses)
+		}
+		for _, in := range b.Instrs {
+			operands += len(in.Defs) + len(in.Uses)
+		}
+	}
+	return edges, instrs, operands
 }
 
 // cloneInstrInto copies one instruction into dst's arenas.
@@ -86,20 +167,4 @@ func cloneInstrInto(dst *Func, in *Instr) *Instr {
 		copy(ni.Uses, in.Uses)
 	}
 	return ni
-}
-
-// growVars returns s extended to length n, reusing its capacity.
-func growVars(s []*Var, n int) []*Var {
-	if cap(s) < n {
-		return make([]*Var, n)
-	}
-	return s[:n]
-}
-
-// growBlocks returns s extended to length n, reusing its capacity.
-func growBlocks(s []*Block, n int) []*Block {
-	if cap(s) < n {
-		return make([]*Block, n)
-	}
-	return s[:n]
 }

@@ -1,9 +1,13 @@
 package ir_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/cfggen"
 	"repro/internal/ir"
+	"repro/outofssa"
 )
 
 const cloneSrc = `
@@ -81,5 +85,84 @@ func TestCloneIntoSteadyStateAllocs(t *testing.T) {
 	ir.CloneInto(dst, src) // warm the arenas and slice capacities
 	if n := testing.AllocsPerRun(50, func() { ir.CloneInto(dst, src) }); n > 0 {
 		t.Fatalf("warm CloneInto allocates %v times per run, want 0", n)
+	}
+}
+
+// TestCloneIntoFreshParseAllocs: materializing a translated function into
+// a fresh parse of its input, as a memo hit does, takes the same few
+// allocations at every function size. The parsed records' lists are
+// exactly as long as the input's, so appending the output's lists to them
+// took about one allocation per output block.
+func TestCloneIntoFreshParseAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds its own allocations")
+	}
+	tr, err := outofssa.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	for _, stmts := range []int{10, 100, 1000} {
+		p := cfggen.DefaultProfile("clonefresh", 3)
+		p.Funcs, p.MinStmts, p.MaxStmts = 1, stmts, stmts
+		src := cfggen.Generate(p)[0].String()
+		res, err := tr.Translate(context.Background(), ir.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := res.Func
+		fresh := make([]*ir.Func, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range fresh {
+			fresh[i] = ir.MustParse(src)
+		}
+		next := 0
+		got := testing.AllocsPerRun(runs, func() {
+			ir.CloneInto(fresh[next], out)
+			next++
+		})
+		if got > 12 {
+			t.Errorf("%d output blocks: CloneInto into a fresh parse takes %v allocations, want at most 12",
+				len(out.Blocks), got)
+		}
+		if s := fresh[0].String(); s != out.String() {
+			t.Fatalf("%d output blocks: the clone differs from its source:\n%s", len(out.Blocks), s)
+		}
+	}
+}
+
+// TestCloneIntoRestoreLoopAllocs: restoring a pristine function over its
+// translated working copy, as perfbench's restore does between batches,
+// takes at most three allocations the first time (the record pool and the
+// two list arrays, grown to what translation appended) and none after
+// that: every record gets back the block whose lists it grew to hold,
+// wherever edge splits and jump-block cleanup moved it.
+func TestCloneIntoRestoreLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds its own allocations")
+	}
+	src, _ := wireFunc(t)
+	pristine := ir.MustParse(src)
+	tr, err := outofssa.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := ir.NewFunc("")
+	for round := 0; round < 10; round++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ir.CloneInto(dst, pristine)
+		runtime.ReadMemStats(&after)
+		switch n := after.Mallocs - before.Mallocs; {
+		case round == 1 && n > 3:
+			t.Fatalf("the first restore takes %d allocations, want at most 3", n)
+		case round > 1 && n != 0:
+			t.Fatalf("restore %d takes %d allocations, want 0", round, n)
+		}
+		if got, want := dst.String(), pristine.String(); got != want {
+			t.Fatalf("restore %d differs from its source:\n%s", round, got)
+		}
+		if _, err := tr.Translate(context.Background(), dst); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

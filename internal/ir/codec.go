@@ -37,21 +37,14 @@ import (
 
 // AppendBinary appends the binary encoding of f to dst.
 func AppendBinary(dst []byte, f *Func) []byte {
-	strs, edges, instrs, operands := len(f.Name), 0, 0, 0
+	strs := len(f.Name)
 	for _, v := range f.Vars {
 		strs += len(v.Name) + len(v.Reg)
 	}
 	for _, b := range f.Blocks {
 		strs += len(b.Name)
-		edges += len(b.Preds) + len(b.Succs)
-		instrs += len(b.Phis) + len(b.Instrs)
-		for _, in := range b.Phis {
-			operands += len(in.Defs) + len(in.Uses)
-		}
-		for _, in := range b.Instrs {
-			operands += len(in.Defs) + len(in.Uses)
-		}
 	}
+	edges, instrs, operands := f.listTotals()
 	dst = binary.AppendUvarint(dst, uint64(strs))
 	dst = append(dst, f.Name...)
 	for _, v := range f.Vars {
@@ -264,7 +257,7 @@ func (d *decoder) function() *Func {
 	}
 
 	f.Vars = make([]*Var, d.count("var", minVarBytes))
-	f.vars.reserve(len(f.Vars))
+	f.vars.reserve(len(f.Vars), 1)
 	for i := range f.Vars {
 		v := f.vars.alloc()
 		v.ID, v.Name, v.Reg = VarID(i), d.name(), d.name()
@@ -284,7 +277,7 @@ func (d *decoder) function() *Func {
 	}
 	d.edges = make([]*Block, d.count("edge", 1))
 	d.instrs = make([]*Instr, d.count("instruction", minInstrBytes))
-	f.instrs.reserve(len(d.instrs))
+	f.instrs.reserve(len(d.instrs), 1)
 	d.ops = make([]VarID, d.count("operand", 1))
 	f.Blocks = make([]*Block, len(blocks))
 	for i := range blocks {

@@ -149,6 +149,12 @@ type Block struct {
 	Phis   []*Instr
 	Instrs []*Instr
 	Freq   float64
+
+	// cloned is 1 + the index of the source block this record took at
+	// the last CloneInto into its function, or 0: the next CloneInto
+	// gives the record the same block again, whose lists its backing has
+	// grown to hold, wherever edge splits and cleanup moved it since.
+	cloned int
 }
 
 // Terminator returns the block's final instruction, or nil if absent.
@@ -210,6 +216,12 @@ type Func struct {
 	// left over by CloneInto, so edge splitting and re-cloning reuse their
 	// records and edge/instruction slice backing.
 	spareBlocks []*Block
+
+	// edgeStore and codeStore back the block lists CloneInto carves: the
+	// Preds and Succs, and the Phis and Instrs, of every record it leaves
+	// f holding. The next CloneInto carves them again from the same arrays.
+	edgeStore []*Block
+	codeStore []*Instr
 }
 
 // CFGGen returns the generation of the block/edge structure.

@@ -14,9 +14,10 @@ package ir
 //
 // Arena memory lives exactly as long as the function: nothing is freed
 // piecemeal, and CloneInto rewinds all three arenas when it rebuilds the
-// function in place, which is what makes steady-state batch translation
-// allocation-free (amortized). Objects obtained from a Func's arenas must
-// not outlive it or be moved into another Func.
+// function in place and reserves its whole need in at most one chunk each,
+// which is what makes steady-state batch translation allocation-free
+// (amortized). Objects obtained from a Func's arenas must not outlive it
+// or be moved into another Func.
 
 const (
 	instrChunk = 64  // Instr records per arena chunk
@@ -49,12 +50,25 @@ func (a *instrArena) alloc() *Instr {
 // previously handed-out record is referenced anymore.
 func (a *instrArena) reset() { a.ci, a.n = 0, 0 }
 
-// reserve gives an empty arena one chunk of exactly n records, for a
-// caller that knows its whole need up front (the binary decoder).
-func (a *instrArena) reserve(n int) {
-	if n > 0 {
-		a.chunks = append(a.chunks, make([]Instr, n))
+// reserve makes room for n more records with at most one allocation, for
+// a caller that knows its whole need up front (the binary decoder,
+// CloneInto): a chunk of the shortfall rounded up to a multiple of unit.
+func (a *instrArena) reserve(n, unit int) {
+	if n -= freeSlots(a.chunks, a.ci, a.n); n > 0 {
+		a.chunks = append(a.chunks, make([]Instr, roundUp(n, unit)))
 	}
+}
+
+// roundUp rounds n up to a multiple of unit.
+func roundUp(n, unit int) int { return (n + unit - 1) / unit * unit }
+
+// freeSlots counts the slots of chunks past the cursor: the rest of chunk ci,
+// whose first n slots are taken, and every later chunk.
+func freeSlots[T any](chunks [][]T, ci, n int) int {
+	for _, c := range chunks[min(ci, len(chunks)):] {
+		n -= len(c)
+	}
+	return -n
 }
 
 // varArena hands out Var records from chunked backing arrays.
@@ -80,9 +94,9 @@ func (a *varArena) alloc() *Var {
 
 func (a *varArena) reset() { a.ci, a.n = 0, 0 }
 
-func (a *varArena) reserve(n int) {
-	if n > 0 {
-		a.chunks = append(a.chunks, make([]Var, n))
+func (a *varArena) reserve(n, unit int) {
+	if n -= freeSlots(a.chunks, a.ci, a.n); n > 0 {
+		a.chunks = append(a.chunks, make([]Var, roundUp(n, unit)))
 	}
 }
 
@@ -118,6 +132,16 @@ func (a *idArena) alloc(n int) []VarID {
 }
 
 func (a *idArena) reset() { a.ci, a.n = 0, 0 }
+
+// reserve makes room for n more operand slots with at most one
+// allocation. A slice never straddles two chunks, so the free slots can
+// fall short of n by the unusable chunk tails; when they fall short at
+// all, one chunk of the whole n, in whole chunks, guarantees the rest.
+func (a *idArena) reserve(n int) {
+	if n > freeSlots(a.chunks, a.ci, a.n) {
+		a.chunks = append(a.chunks, make([]VarID, roundUp(n, idChunk)))
+	}
+}
 
 // NewInstr returns a fresh zeroed instruction with the given opcode,
 // allocated from the function's instruction arena. The record belongs to f:

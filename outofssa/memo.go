@@ -13,8 +13,8 @@ import (
 // the translator's machinery configuration. Attach one to a Translator
 // with WithMemo: structurally identical functions then translate once, and
 // every later occurrence — in the same batch, across batches, or across
-// daemon requests — materializes the stored output with a zero-alloc clone
-// instead of re-running the pipeline.
+// daemon requests — materializes the stored output with a clone that takes
+// a fixed handful of allocations instead of re-running the pipeline.
 //
 // One Memo may back any number of Translators and is safe for concurrent
 // use; entries are only shared between translators with an identical

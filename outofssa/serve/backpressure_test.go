@@ -28,13 +28,10 @@ func testSource(t *testing.T) string {
 // called, so tests can fill the in-flight slots deterministically.
 func pinServer(t *testing.T, cfg Config) (s *Server, ts *httptest.Server, release func()) {
 	t.Helper()
-	hold := make(chan struct{})
 	s = New(cfg)
-	s.holdForTest = hold
+	release = HoldForTest(s)
 	ts = httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	var once sync.Once
-	release = func() { once.Do(func() { close(hold) }) }
 	t.Cleanup(release) // never leave blocked handlers behind a failed test
 	return s, ts, release
 }

@@ -1,11 +1,14 @@
 // Package client is the typed Go client of the ssad translation daemon
 // (outofssa/serve): single translations, NDJSON-streamed batches with a
-// per-item callback, and stats scraping. perfbench's serve-mixed workload
-// and the serve tests are its consumers.
+// per-item callback, and stats scraping. It sends the IR as a text/plain
+// body with the other request fields as query parameters, and takes a
+// translation back in the daemon's text mode: the translated IR as the
+// whole body, every other field in the serve.ResultHeader. Neither end
+// frames the IR in JSON. perfbench's serve-mixed workload and the serve
+// tests are its consumers.
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -50,9 +53,12 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("serve client: %d: %s", e.StatusCode, e.Message)
 }
 
-// Translate submits one function.
+// Translate submits one function and asks for the text-mode answer: the
+// translated IR comes back as the whole body and every other field in the
+// serve.ResultHeader, so the IR is never framed in JSON. An answer the
+// header cannot carry comes back as JSON and is read as such.
 func (c *Client) Translate(ctx context.Context, req serve.TranslateRequest) (*serve.TranslateResponse, error) {
-	resp, err := c.post(ctx, "/v1/translate", req)
+	resp, err := c.post(ctx, "/v1/translate", req, "text/plain")
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +66,22 @@ func (c *Client) Translate(ctx context.Context, req serve.TranslateRequest) (*se
 	if err := errorFrom(resp); err != nil {
 		return nil, err
 	}
-	var out serve.TranslateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("serve client: decoding response: %w", err)
+	if mt, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";"); strings.TrimSpace(mt) == "application/json" {
+		var out serve.TranslateResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			return nil, fmt.Errorf("serve client: decoding response: %w", err)
+		}
+		return &out, nil
 	}
-	return &out, nil
+	result := resp.Header.Get(serve.ResultHeader)
+	if result == "" {
+		return nil, fmt.Errorf("serve client: response carries no %s header", serve.ResultHeader)
+	}
+	body, err := readBody(resp)
+	if err != nil {
+		return nil, fmt.Errorf("serve client: reading response: %w", err)
+	}
+	return serve.ParseResult(result, string(body))
 }
 
 // Batch submits a multi-function source and streams the results: item is
@@ -74,7 +91,7 @@ func (c *Client) Translate(ctx context.Context, req serve.TranslateRequest) (*se
 // line; a stream that ended without one returns an error — the batch was
 // cut short.
 func (c *Client) Batch(ctx context.Context, req serve.TranslateRequest, item func(serve.BatchItem) error) (*serve.BatchSummary, error) {
-	resp, err := c.post(ctx, "/v1/batch", req)
+	resp, err := c.post(ctx, "/v1/batch", req, "")
 	if err != nil {
 		return nil, err
 	}
@@ -136,17 +153,35 @@ func (c *Client) Stats(ctx context.Context) (*serve.StatsResponse, error) {
 	return &out, nil
 }
 
-func (c *Client) post(ctx context.Context, path string, req serve.TranslateRequest) (*http.Response, error) {
-	body, err := json.Marshal(req)
+// post sends req the way curl would: the IR as a text/plain body, every
+// other non-zero field as a query parameter. accept, when set, is the
+// Accept header.
+func (c *Client) post(ctx context.Context, path string, req serve.TranslateRequest, accept string) (*http.Response, error) {
+	u := c.base + path
+	if q := req.Query(); q != "" {
+		u += "?" + q
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(req.Source))
 	if err != nil {
 		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	hreq.Header.Set("Content-Type", "text/plain")
+	if accept != "" {
+		hreq.Header.Set("Accept", accept)
 	}
-	hreq.Header.Set("Content-Type", "application/json")
 	return c.hc.Do(hreq)
+}
+
+// readBody reads resp's body whole: a body of known length, up to 64 KiB,
+// into one exactly sized buffer, anything else as its bytes arrive.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > 64<<10 {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, n)
+	_, err := io.ReadFull(resp.Body, buf)
+	return buf, err
 }
 
 // errorFrom turns a non-2xx response into an *APIError (draining the

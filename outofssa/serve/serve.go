@@ -6,17 +6,22 @@
 // drain, and a /v1/stats surface exposing the paper's Figure 5-style
 // counters, analysis-cache hit rates, and serving-latency quantiles.
 //
-//	POST /v1/translate  one function  → JSON TranslateResponse
+//	POST /v1/translate  one function  → JSON TranslateResponse, or with
+//	                    Accept: text/plain the translated IR as the body
+//	                    and every other field in the Ssa-Result header
 //	POST /v1/batch      many functions → NDJSON BatchItem*, BatchSummary
 //	GET  /v1/stats      → JSON StatsResponse
 //	GET  /healthz       → 200 (503 while draining)
 //
-// Request bodies are either a JSON TranslateRequest or — for curl-ability —
-// the raw textual IR with options as query parameters. Client disconnects
-// propagate: the request context cancels the translation at its next pass
-// boundary (single functions) or stops the batch driver from dispatching
-// further functions (batches), exactly the ctx plumbing outofssa.Translate
-// and Stream already honour.
+// Request bodies are either a JSON TranslateRequest or the raw textual IR
+// with the other fields as query parameters, which is what curl sends and
+// what the typed client sends. JSON stays the default answer; the text
+// mode (ResultHeader, ParseResult) spares a client that wants the IR text
+// the JSON framing of a body that is almost all IR. Errors are JSON in
+// both modes. Client disconnects propagate: the request context cancels
+// the translation at its next pass boundary (single functions) or stops
+// the batch driver from dispatching further functions (batches), exactly
+// the ctx plumbing outofssa.Translate and Stream already honour.
 //
 // The companion package serve/client is the typed Go client; cmd/ssad is
 // the daemon around this package, and perfbench's serve-mixed workload
@@ -28,11 +33,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"mime"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -201,6 +209,13 @@ func (sw *statusWriter) Write(p []byte) (int, error) {
 	return sw.ResponseWriter.Write(p)
 }
 
+// WriteString lets io.WriteString reach the underlying writer's
+// WriteString, so the text-mode body is written without a []byte copy.
+func (sw *statusWriter) WriteString(s string) (int, error) {
+	sw.wrote = true
+	return io.WriteString(sw.ResponseWriter, s)
+}
+
 func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // recovering is the handler-level panic isolation: a panic escaping h —
@@ -302,6 +317,9 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 	if res.Alloc != nil {
 		resp.RegsUsed = res.Alloc.RegsUsed
 		resp.Spills = res.Alloc.Spills
+	}
+	if wantsText(r) && writeText(w, resp) {
+		return
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -541,6 +559,50 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// wantsText reports whether r asks for the text-mode answer: an Accept
+// header naming text/plain with a quality above zero. Everything else, no
+// Accept header and */* included, gets JSON.
+func wantsText(r *http.Request) bool {
+	for _, accept := range r.Header.Values("Accept") {
+		for mr := range strings.SplitSeq(accept, ",") {
+			mt, params, err := mime.ParseMediaType(mr)
+			if err != nil || mt != "text/plain" {
+				continue
+			}
+			q, ok := params["q"]
+			if !ok {
+				return true
+			}
+			if v, err := strconv.ParseFloat(q, 64); err == nil && v > 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// maxResultHeader bounds the ResultHeader: about 0.6 KB of counters leave
+// over 3 KB for the name, and the whole header block stays inside the
+// 8 KiB many proxies allow.
+const maxResultHeader = 4 << 10
+
+// writeText writes the text-mode answer of /v1/translate: the translated
+// IR as the whole body, every other field in the ResultHeader. It writes
+// nothing and reports false when the header would pass maxResultHeader.
+func writeText(w http.ResponseWriter, resp *TranslateResponse) bool {
+	header := resp.appendResult(make([]byte, 0, 1024))
+	if len(header) > maxResultHeader {
+		return false
+	}
+	h := w.Header()
+	h.Set("Content-Type", "text/plain")
+	h.Set(ResultHeader, string(header))
+	h.Set("Content-Length", strconv.Itoa(len(resp.Output)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = io.WriteString(w, resp.Output)
+	return true
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

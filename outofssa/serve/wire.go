@@ -7,6 +7,7 @@ import (
 	"mime"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -14,10 +15,11 @@ import (
 )
 
 // TranslateRequest is the wire form of one translation request — the JSON
-// body of POST /v1/translate and POST /v1/batch. For curl-ability both
-// endpoints also accept the raw textual IR as the body (any non-JSON
-// content type), with the remaining fields supplied as query parameters
-// (?strategy=sharing&registers=4&timeout_ms=1000 …).
+// body of POST /v1/translate and POST /v1/batch. Both endpoints also
+// accept the raw textual IR as the body (any non-JSON content type), with
+// the remaining fields supplied as query parameters
+// (?strategy=sharing&registers=4&timeout_ms=1000 …); curl and the typed
+// client send that form, and Query renders it.
 //
 // The machinery toggles are pointers so that an absent field keeps the
 // strategy's default (WithStrategy implies virtualization for sreedhar3,
@@ -115,7 +117,7 @@ func parseRequest(r *http.Request) (TranslateRequest, error) {
 	if err := applyQuery(&req, r.URL.Query()); err != nil {
 		return req, err
 	}
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
 		return req, fmt.Errorf("serve: reading request body: %w", err)
 	}
@@ -133,63 +135,117 @@ func parseRequest(r *http.Request) (TranslateRequest, error) {
 	return req, nil
 }
 
+// maxSizedBody bounds the declared length readBody allocates for before
+// any of the body has arrived, so a peer that declares a large body and
+// stalls holds no more than this. A serve-mixed request is about 1.7 KB.
+const maxSizedBody = 64 << 10
+
+// readBody reads body whole. A body declared n bytes long, n at most
+// maxSizedBody, goes into one exactly sized buffer; a longer one, or one
+// of unknown length (n < 0), grows as its bytes arrive.
+func readBody(body io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, n)
+	_, err := io.ReadFull(body, buf)
+	return buf, err
+}
+
+// requestQuery is the query form of a TranslateRequest, the fields that
+// travel beside a raw IR body, in one fixed order: applyQuery reads them
+// in it, so of several malformed parameters the error always names the
+// same one, and Query writes them in it. field points into the request.
+var requestQuery = [...]struct {
+	key   string
+	field func(*TranslateRequest) any
+}{
+	{"strategy", func(r *TranslateRequest) any { return &r.Strategy }},
+	{"virtualize", func(r *TranslateRequest) any { return &r.Virtualize }},
+	{"graph", func(r *TranslateRequest) any { return &r.Graph }},
+	{"livecheck", func(r *TranslateRequest) any { return &r.LiveCheck }},
+	{"linear", func(r *TranslateRequest) any { return &r.Linear }},
+	{"ordered_sets", func(r *TranslateRequest) any { return &r.OrderedSets }},
+	{"split_edges", func(r *TranslateRequest) any { return &r.SplitEdges }},
+	{"keep_parallel", func(r *TranslateRequest) any { return &r.KeepParallel }},
+	{"verify", func(r *TranslateRequest) any { return &r.Verify }},
+	{"registers", func(r *TranslateRequest) any { return &r.Registers }},
+	{"timeout_ms", func(r *TranslateRequest) any { return &r.TimeoutMillis }},
+	{"quiet", func(r *TranslateRequest) any { return &r.Quiet }},
+}
+
 // applyQuery folds URL query parameters into req, accepting the same
 // field names as the JSON form.
 func applyQuery(req *TranslateRequest, q url.Values) error {
-	if v := q.Get("strategy"); v != "" {
-		req.Strategy = v
-	}
-	boolParam := func(name string, dst **bool) error {
-		v := q.Get(name)
-		if v == "" {
-			return nil
+	for _, p := range requestQuery {
+		s := q.Get(p.key)
+		if s == "" {
+			continue
 		}
-		b, err := strconv.ParseBool(v)
+		var err error
+		switch f := p.field(req).(type) {
+		case *string:
+			*f = s
+		case **bool:
+			var b bool
+			b, err = strconv.ParseBool(s)
+			*f = &b
+		case *bool:
+			*f, err = strconv.ParseBool(s)
+		case *int:
+			*f, err = strconv.Atoi(s)
+		case *int64:
+			*f, err = strconv.ParseInt(s, 10, 64)
+		}
 		if err != nil {
-			return fmt.Errorf("serve: query parameter %s: %w", name, err)
+			return fmt.Errorf("serve: query parameter %s: %w", p.key, err)
 		}
-		*dst = &b
-		return nil
-	}
-	for name, dst := range map[string]**bool{
-		"virtualize":    &req.Virtualize,
-		"graph":         &req.Graph,
-		"livecheck":     &req.LiveCheck,
-		"linear":        &req.Linear,
-		"ordered_sets":  &req.OrderedSets,
-		"split_edges":   &req.SplitEdges,
-		"keep_parallel": &req.KeepParallel,
-		"verify":        &req.Verify,
-	} {
-		if err := boolParam(name, dst); err != nil {
-			return err
-		}
-	}
-	if v := q.Get("registers"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("serve: query parameter registers: %w", err)
-		}
-		req.Registers = n
-	}
-	if v := q.Get("timeout_ms"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("serve: query parameter timeout_ms: %w", err)
-		}
-		req.TimeoutMillis = n
-	}
-	if v := q.Get("quiet"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return fmt.Errorf("serve: query parameter quiet: %w", err)
-		}
-		req.Quiet = b
 	}
 	return nil
 }
 
-// TranslateResponse is the JSON response of POST /v1/translate.
+// Query returns req's options in the query form /v1/translate and
+// /v1/batch read beside a raw IR body: every non-zero field but Source,
+// so applyQuery rebuilds an equal request.
+func (req *TranslateRequest) Query() string {
+	var b strings.Builder
+	for _, p := range requestQuery {
+		var v string
+		switch f := p.field(req).(type) {
+		case *string:
+			v = url.QueryEscape(*f)
+		case **bool:
+			if *f != nil {
+				v = strconv.FormatBool(**f)
+			}
+		case *bool:
+			if *f {
+				v = "true"
+			}
+		case *int:
+			if *f != 0 {
+				v = strconv.Itoa(*f)
+			}
+		case *int64:
+			if *f != 0 {
+				v = strconv.FormatInt(*f, 10)
+			}
+		}
+		if v == "" {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteByte('&')
+		}
+		b.WriteString(p.key)
+		b.WriteByte('=')
+		b.WriteString(v)
+	}
+	return b.String()
+}
+
+// TranslateResponse is the JSON response of POST /v1/translate. In text
+// mode the body carries Output and the ResultHeader every other field.
 type TranslateResponse struct {
 	// Name is the translated function's name.
 	Name string `json:"name"`
@@ -260,4 +316,144 @@ type BatchSummary struct {
 // errorResponse is the JSON body of every non-2xx response.
 type errorResponse struct {
 	Error string `json:"error"`
+}
+
+// ResultHeader is the response header of a text-mode /v1/translate
+// answer, the one a request whose Accept header names text/plain gets.
+// The body is exactly TranslateResponse.Output; this header carries every
+// other field and every Stats counter in query syntax: key=value pairs
+// joined by '&', values escaped as url.QueryEscape escapes them (names are
+// arbitrary bytes the parser accepts), floats in the shortest form that
+// reads back to the same bits. The keys are the JSON answer's: the JSON
+// names, and the Stats counters' Go names. ParseResult rebuilds the
+// response. An answer whose header would pass 4 KiB, which only a very
+// long function name makes, is the JSON answer instead.
+const ResultHeader = "Ssa-Result"
+
+// A resultField is one field in the ResultHeader: a TranslateResponse
+// field, or a Stats counter.
+type resultField struct {
+	key   string // the JSON key: the tag's name, else the Go name
+	index int    // the field's index in its struct
+	stats bool   // a Stats counter
+}
+
+// resultFields lists the ResultHeader's fields in the structs' declaration
+// order, TranslateResponse's but Output and Stats and then Stats's, read
+// off the structs once so that a field added to either travels without an
+// edit here. resultKeys finds them by key.
+var (
+	resultFields = append(structFields(reflect.TypeFor[TranslateResponse](), false),
+		structFields(reflect.TypeFor[outofssa.Stats](), true)...)
+	resultKeys = func() map[string]resultField {
+		m := make(map[string]resultField, len(resultFields))
+		for _, f := range resultFields {
+			m[f.key] = f
+		}
+		return m
+	}()
+)
+
+// structFields lists the scalar fields of the struct type t.
+func structFields(t reflect.Type, stats bool) []resultField {
+	var fs []resultField
+	for i := range t.NumField() {
+		f := t.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if key == "" {
+			key = f.Name
+		}
+		if key != "output" && key != "stats" {
+			fs = append(fs, resultField{key, i, stats})
+		}
+	}
+	return fs
+}
+
+// appendResult appends r's ResultHeader value to dst.
+func (r *TranslateResponse) appendResult(dst []byte) []byte {
+	resp, stats := reflect.ValueOf(r).Elem(), reflect.ValueOf(r.Stats)
+	for i, f := range resultFields {
+		v := resp
+		if f.stats {
+			if r.Stats == nil {
+				break
+			}
+			v = stats.Elem()
+		}
+		if i > 0 {
+			dst = append(dst, '&')
+		}
+		dst = append(append(dst, f.key...), '=')
+		switch v = v.Field(f.index); v.Kind() {
+		case reflect.String:
+			dst = append(dst, url.QueryEscape(v.String())...)
+		case reflect.Bool:
+			dst = strconv.AppendBool(dst, v.Bool())
+		case reflect.Int, reflect.Int64:
+			dst = strconv.AppendInt(dst, v.Int(), 10)
+		case reflect.Uint64:
+			dst = strconv.AppendUint(dst, v.Uint(), 10)
+		case reflect.Float64:
+			// An exponent's '+' would read back as a space unescaped.
+			dst = append(dst, url.QueryEscape(strconv.FormatFloat(v.Float(), 'g', -1, 64))...)
+		default:
+			panic("serve: the ResultHeader cannot carry a " + v.Type().String())
+		}
+	}
+	return dst
+}
+
+// ParseResult rebuilds the TranslateResponse of a text-mode /v1/translate
+// answer from its ResultHeader value and its body. It skips keys it does
+// not know, so a server can add a field before its clients learn it.
+func ParseResult(header, output string) (*TranslateResponse, error) {
+	r := &TranslateResponse{Output: output}
+	for pair := range strings.SplitSeq(header, "&") {
+		key, s, _ := strings.Cut(pair, "=")
+		f, ok := resultKeys[key]
+		if !ok {
+			continue
+		}
+		v := reflect.ValueOf(r).Elem()
+		if f.stats {
+			if r.Stats == nil {
+				r.Stats = new(outofssa.Stats)
+			}
+			v = reflect.ValueOf(r.Stats).Elem()
+		}
+		s, err := url.QueryUnescape(s)
+		if err == nil {
+			err = setField(v.Field(f.index), s)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("serve: %s field %s: %w", ResultHeader, key, err)
+		}
+	}
+	return r, nil
+}
+
+// setField parses s into the scalar field v.
+func setField(v reflect.Value, s string) (err error) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(s)
+	case reflect.Bool:
+		var b bool
+		b, err = strconv.ParseBool(s)
+		v.SetBool(b)
+	case reflect.Int, reflect.Int64:
+		var n int64
+		n, err = strconv.ParseInt(s, 10, 64)
+		v.SetInt(n)
+	case reflect.Uint64:
+		var n uint64
+		n, err = strconv.ParseUint(s, 10, 64)
+		v.SetUint(n)
+	case reflect.Float64:
+		var x float64
+		x, err = strconv.ParseFloat(s, 64)
+		v.SetFloat(x)
+	}
+	return err
 }
