@@ -44,6 +44,16 @@ import (
 	"repro/outofssa/serve"
 )
 
+// Connection timeouts for both listeners. A peer that stalls before its
+// request headers are complete is cut off after readHeaderTimeout, and an
+// idle keep-alive connection is closed after idleTimeout. No ReadTimeout
+// is set: it would bound the body read too, and cut off a slow but
+// legitimate upload of a large batch.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ssad: ")
@@ -112,7 +122,7 @@ func run(addr, admin string, cfg serve.Config, drain time.Duration, memoFile str
 		log.Print(err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: s}
+	httpSrv := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	var adminSrv *http.Server
 	if admin != "" {
@@ -121,7 +131,7 @@ func run(addr, admin string, cfg serve.Config, drain time.Duration, memoFile str
 			log.Print(err)
 			return 1
 		}
-		adminSrv = &http.Server{Handler: s.AdminHandler()}
+		adminSrv = &http.Server{Handler: s.AdminHandler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		log.Printf("admin (pprof, stats) on http://%s", aln.Addr())
 		go func() {
 			if err := adminSrv.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -58,11 +58,6 @@ const (
 	ValueIS
 	// Sharing is ValueIS plus the copy-sharing post-pass.
 	Sharing
-	// Optimistic is an extension beyond the paper's Figure 5: Budimlić-style
-	// optimistic coalescing followed by de-coalescing of interfering
-	// classes, with value-based interference (the combination the paper's
-	// conclusion describes as orthogonal and compatible).
-	Optimistic
 )
 
 var strategyNames = [...]string{
@@ -73,10 +68,14 @@ var strategyNames = [...]string{
 	SreedharIII: "Sreedhar III",
 	ValueIS:     "Value+IS",
 	Sharing:     "Sharing",
-	Optimistic:  "Optimistic",
 }
 
-func (s Strategy) String() string { return strategyNames[s] }
+func (s Strategy) String() string {
+	if s < 0 || int(s) >= len(strategyNames) {
+		return fmt.Sprintf("Strategy(%d)", int(s))
+	}
+	return strategyNames[s]
+}
 
 // Strategies lists all Figure 5 variants in presentation order.
 var Strategies = []Strategy{Intersect, SreedharI, Chaitin, Value, SreedharIII, ValueIS, Sharing}
@@ -118,8 +117,12 @@ type Options struct {
 	KeepParallelCopies bool
 }
 
-// Validate rejects inconsistent option combinations.
+// Validate rejects an undefined strategy and inconsistent option
+// combinations.
 func (o *Options) Validate() error {
+	if o.Strategy < 0 || int(o.Strategy) >= len(strategyNames) {
+		return fmt.Errorf("core: undefined strategy %d", int(o.Strategy))
+	}
 	if o.UseGraph && o.LiveCheck {
 		return fmt.Errorf("core: UseGraph needs liveness sets; it cannot be combined with LiveCheck")
 	}
@@ -128,9 +131,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Strategy == SreedharIII && !o.Virtualize {
 		return fmt.Errorf("core: the SreedharIII strategy requires Virtualize")
-	}
-	if o.Strategy == Optimistic && o.Virtualize {
-		return fmt.Errorf("core: Optimistic de-coalescing needs the full copy set; it cannot be virtualized")
 	}
 	return nil
 }
@@ -338,8 +338,8 @@ func (t *Translation) Insert() error {
 	// Normalize duplicate-pred edges and split edges whose φ argument is
 	// defined by the predecessor's terminator (the Br_dec case of Figure 2,
 	// where copy insertion alone cannot split the live range).
-	st.SplitEdges += len(sreedhar.SplitDuplicatePredEdges(f))
-	st.SplitEdges += len(sreedhar.SplitBranchDefEdges(f))
+	st.SplitEdges += sreedhar.SplitDuplicatePredEdges(f)
+	st.SplitEdges += sreedhar.SplitBranchDefEdges(f)
 	if t.Opt.SplitCriticalEdges {
 		st.SplitEdges += splitAllCritical(f)
 	}
@@ -451,9 +451,6 @@ func (t *Translation) Coalesce() error {
 		}
 		st.MaterializedVars = len(vres.Materialized)
 		st.Affinities = len(t.affs) + vres.Removed
-	} else if opt.Strategy == Optimistic {
-		t.res = coalesce.RunOptimistic(m, t.affs)
-		st.Affinities = len(t.affs)
 	} else {
 		groupPhis := opt.Strategy == ValueIS || opt.Strategy == Sharing
 		t.res = coalesce.Run(m, t.affs, engineVariant(opt.Strategy), groupPhis)
@@ -516,20 +513,15 @@ func (t *Translation) CoalesceResult() *coalesce.Result { return t.res }
 // φ-free standard code, returning the statistics of the run. f is mutated
 // in place.
 func Translate(f *ir.Func, opt Options) (*Stats, error) {
-	return TranslateWith(f, opt, nil)
+	return TranslateInto(f, opt, nil, nil)
 }
 
-// TranslateWith is Translate with a caller-provided analysis cache, so the
+// TranslateInto is Translate with a caller-provided analysis cache, so the
 // translation shares dominance, def-use, and liveness with surrounding
-// passes. an may be nil.
-func TranslateWith(f *ir.Func, opt Options, an *analysis.Cache) (*Stats, error) {
-	return TranslateInto(f, opt, an, nil)
-}
-
-// TranslateInto is TranslateWith with an explicit, caller-owned Scratch —
-// batch drivers hand every function translated by one worker the same
-// scratch. sc may be nil, in which case the translation draws one from the
-// package pool for its own duration.
+// passes, and an explicit, caller-owned Scratch, so a loop of translations
+// reuses one scratch. an may be nil, in which case a private cache is
+// created; sc may be nil, in which case the translation draws one from
+// the package pool for its own duration.
 func TranslateInto(f *ir.Func, opt Options, an *analysis.Cache, sc *Scratch) (*Stats, error) {
 	t, err := NewTranslation(f, opt, an)
 	if err != nil {

@@ -18,13 +18,6 @@ func allOptions(s Strategy) []Options {
 			{Strategy: s, Virtualize: true, UseGraph: true, OrderedSets: true},
 		}
 	}
-	if s == Optimistic {
-		return []Options{
-			{Strategy: s},
-			{Strategy: s, LiveCheck: true},
-			{Strategy: s, UseGraph: true},
-		}
-	}
 	base := []Options{
 		{Strategy: s, UseGraph: true},
 		{Strategy: s},
@@ -236,10 +229,9 @@ func TestGeneratedEquivalence(t *testing.T) {
 	prof.Funcs = 8
 	funcs := cfggen.Generate(prof)
 	inputs := [][]int64{{0, 0}, {3, 1}, {-2, 9}, {17, 17}}
-	strategies := append(append([]Strategy(nil), Strategies...), Optimistic)
 	for fi, f := range funcs {
 		src := f.String()
-		for _, s := range strategies {
+		for _, s := range Strategies {
 			for _, opt := range allOptions(s) {
 				t.Run(fmt.Sprintf("f%d/%s", fi, optName(opt)), func(t *testing.T) {
 					runEquiv(t, src, opt, inputs)
@@ -284,29 +276,6 @@ func TestTranslatedHasNoPhis(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestOptimisticStrategy: the Budimlić-style extension must preserve
-// semantics and land in the same quality neighbourhood as Value.
-func TestOptimisticStrategy(t *testing.T) {
-	prof := cfggen.DefaultProfile("opti", 424)
-	prof.Funcs = 6
-	inputs := [][]int64{{0, 0}, {5, 2}, {-7, 3}}
-	totalOpt, totalVal := 0, 0
-	for _, f := range cfggen.Generate(prof) {
-		src := f.String()
-		st := runEquiv(t, src, Options{Strategy: Optimistic, LiveCheck: true}, inputs)
-		sv := runEquiv(t, src, Options{Strategy: Value, LiveCheck: true, Linear: true}, inputs)
-		totalOpt += st.RemainingCopies
-		totalVal += sv.RemainingCopies
-	}
-	if totalOpt > 2*totalVal+4 {
-		t.Fatalf("optimistic left %d copies vs Value's %d — de-coalescing too eager", totalOpt, totalVal)
-	}
-	badOpt := Options{Strategy: Optimistic, Virtualize: true}
-	if err := badOpt.Validate(); err == nil {
-		t.Fatal("Optimistic+Virtualize must be rejected")
 	}
 }
 

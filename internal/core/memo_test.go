@@ -120,7 +120,6 @@ func TestOptionsWordGolden(t *testing.T) {
 		{"fig5/ValueIS", Options{Strategy: ValueIS, Linear: true, LiveCheck: true}, 0xc5},
 		{"fig5/Sharing", Options{Strategy: Sharing, Linear: true, LiveCheck: true}, 0xc6},
 		{"zero", Options{}, 0x0},
-		{"Optimistic", Options{Strategy: Optimistic}, 0x7},
 		{"Virtualize", Options{Virtualize: true}, 0x10},
 		{"UseGraph", Options{UseGraph: true}, 0x20},
 		{"LiveCheck", Options{LiveCheck: true}, 0x40},

@@ -40,15 +40,19 @@ func TestOptionsValidate(t *testing.T) {
 			wantErr: "SreedharIII",
 		},
 		{
-			name:    "optimistic de-coalescing cannot be virtualized",
-			opt:     Options{Strategy: Optimistic, Virtualize: true},
-			wantErr: "Optimistic",
+			name:    "strategy past the table",
+			opt:     Options{Strategy: Sharing + 1},
+			wantErr: "undefined strategy",
+		},
+		{
+			name:    "negative strategy",
+			opt:     Options{Strategy: -1},
+			wantErr: "undefined strategy",
 		},
 		{name: "zero value", opt: Options{}},
 		{name: "paper recommended", opt: Options{Strategy: Value, Linear: true, LiveCheck: true}},
 		{name: "baseline", opt: Options{Strategy: SreedharIII, Virtualize: true, UseGraph: true, OrderedSets: true}},
 		{name: "virtualized live check", opt: Options{Strategy: Value, Virtualize: true, LiveCheck: true}},
-		{name: "optimistic plain", opt: Options{Strategy: Optimistic}},
 		{name: "graph with ordered sets", opt: Options{Strategy: Chaitin, UseGraph: true, OrderedSets: true}},
 		{name: "split critical edges", opt: Options{Strategy: Sharing, LiveCheck: true, SplitCriticalEdges: true}},
 	}

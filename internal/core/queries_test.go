@@ -23,15 +23,13 @@ func strategyOptions(s core.Strategy) core.Options {
 // query-count bug: ChaitinInterferes performed its intersection tests via
 // LiveAfter without ever incrementing Checker.Queries, so
 // Stats.IntersectionTests reported 0 for the Chaitin strategy and
-// Figure 6-style output undercounted. Every Figure 5 strategy (plus the
-// Optimistic extension) must report a nonzero, plausible query count on a
-// φ-heavy function.
+// Figure 6-style output undercounted. Every Figure 5 strategy must report
+// a nonzero, plausible query count on a φ-heavy function.
 func TestEveryStrategyCountsQueries(t *testing.T) {
 	p := cfggen.DefaultProfile("queries", 631)
 	p.Funcs = 3
 	funcs := cfggen.Generate(p)
-	strategies := append(append([]core.Strategy(nil), core.Strategies...), core.Optimistic)
-	for _, s := range strategies {
+	for _, s := range core.Strategies {
 		total, affs := 0, 0
 		for _, f := range funcs {
 			st, err := core.Translate(ir.Clone(f), strategyOptions(s))

@@ -7,6 +7,8 @@
 package dom
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -130,6 +132,75 @@ func (t *Tree) link() {
 		t.children[p] = append(t.children[p], b)
 	}
 	t.number()
+}
+
+// order computes the reverse postorder of the CFG from a depth-first walk
+// from the entry that visits successors in order (iterative, to tolerate
+// deep CFGs).
+func (t *Tree) order() {
+	f := t.f
+	n := len(f.Blocks)
+	t.rpoPos = resize(t.rpoPos, n)
+	t.seen = resize(t.seen, n)
+	for i := range t.rpoPos {
+		t.rpoPos[i] = -1
+		t.seen[i] = false
+	}
+	t.rpo = resize(t.rpo, n)[:0]
+	entry := f.Entry().ID
+	stack := append(t.stack[:0], frame{b: entry})
+	t.seen[entry] = true
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		succs := f.Blocks[fr.b].Succs
+		if fr.next < len(succs) {
+			s := succs[fr.next].ID
+			fr.next++
+			if !t.seen[s] {
+				t.seen[s] = true
+				stack = append(stack, frame{b: s})
+			}
+			continue
+		}
+		t.rpo = append(t.rpo, fr.b) // postorder for now
+		stack = stack[:len(stack)-1]
+	}
+	t.stack = stack
+	slices.Reverse(t.rpo)
+	for pos, b := range t.rpo {
+		t.rpoPos[b] = int32(pos)
+	}
+}
+
+// number assigns pre/post DFS numbers over the dominator tree.
+func (t *Tree) number() {
+	n := len(t.f.Blocks)
+	t.pre = resize(t.pre, n)
+	t.post = resize(t.post, n)
+	for i := range t.pre {
+		t.pre[i] = -1
+		t.post[i] = -1
+	}
+	entry := t.f.Entry().ID
+	var clock int32
+	stack := append(t.stack[:0], frame{b: entry})
+	t.pre[entry] = clock
+	clock++
+	for len(stack) > 0 {
+		fr := &stack[len(stack)-1]
+		if fr.next < len(t.children[fr.b]) {
+			c := t.children[fr.b][fr.next]
+			fr.next++
+			t.pre[c] = clock
+			clock++
+			stack = append(stack, frame{b: c})
+			continue
+		}
+		t.post[fr.b] = clock
+		clock++
+		stack = stack[:len(stack)-1]
+	}
+	t.stack = stack
 }
 
 // intersect walks two blocks up the (partially built) dominator tree to

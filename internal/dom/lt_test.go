@@ -1,18 +1,14 @@
 package dom
 
 import (
-	"slices"
-
 	"repro/internal/ir"
 )
 
 // BuildLT computes the dominator tree with the Lengauer-Tarjan algorithm
 // (simple path-compression variant, O(E·α(E,V))). It produces a Tree
-// identical to Build's; the iterative Cooper-Harvey-Kennedy construction is
-// the default because it is simpler and fast enough at JIT-relevant sizes,
-// and the two implementations are checked against each other by the test
-// suite. BuildLT exists as the asymptotically better alternative for very
-// large functions.
+// identical to Build's, and is the independent construction
+// TestLTMatchesCHK checks Build's iterative Cooper-Harvey-Kennedy tree
+// against.
 func BuildLT(f *ir.Func) *Tree {
 	n := len(f.Blocks)
 	lt := &ltState{
@@ -153,74 +149,4 @@ func (lt *ltState) compress(v int) {
 		}
 		lt.anc[w] = lt.anc[a]
 	}
-}
-
-// order computes the reverse postorder of the CFG from a depth-first walk
-// from the entry that visits successors in order (iterative, to tolerate
-// deep CFGs).
-func (t *Tree) order() {
-	f := t.f
-	n := len(f.Blocks)
-	t.rpoPos = resize(t.rpoPos, n)
-	t.seen = resize(t.seen, n)
-	for i := range t.rpoPos {
-		t.rpoPos[i] = -1
-		t.seen[i] = false
-	}
-	t.rpo = resize(t.rpo, n)[:0]
-	entry := f.Entry().ID
-	stack := append(t.stack[:0], frame{b: entry})
-	t.seen[entry] = true
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		succs := f.Blocks[fr.b].Succs
-		if fr.next < len(succs) {
-			s := succs[fr.next].ID
-			fr.next++
-			if !t.seen[s] {
-				t.seen[s] = true
-				stack = append(stack, frame{b: s})
-			}
-			continue
-		}
-		t.rpo = append(t.rpo, fr.b) // postorder for now
-		stack = stack[:len(stack)-1]
-	}
-	t.stack = stack
-	slices.Reverse(t.rpo)
-	for pos, b := range t.rpo {
-		t.rpoPos[b] = int32(pos)
-	}
-}
-
-// number assigns pre/post DFS numbers over the dominator tree (shared by
-// both constructions).
-func (t *Tree) number() {
-	n := len(t.f.Blocks)
-	t.pre = resize(t.pre, n)
-	t.post = resize(t.post, n)
-	for i := range t.pre {
-		t.pre[i] = -1
-		t.post[i] = -1
-	}
-	entry := t.f.Entry().ID
-	var clock int32
-	stack := append(t.stack[:0], frame{b: entry})
-	t.pre[entry] = clock
-	clock++
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		if fr.next < len(t.children[fr.b]) {
-			c := t.children[fr.b][fr.next]
-			fr.next++
-			t.pre[c] = clock
-			clock++
-			stack = append(stack, frame{b: c})
-			continue
-		}
-		t.post[fr.b] = clock
-		clock++
-		stack = stack[:len(stack)-1]
-	}
-	t.stack = stack
 }

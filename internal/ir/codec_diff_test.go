@@ -24,7 +24,7 @@ func TestBinaryCodecMatchesJSON(t *testing.T) {
 		f.Vars[f.NewDerivedVar(0)].Reg = "r1"
 		f.NewPinnedVar("pinned", "r2")
 		funcs = append(funcs, f)
-		for _, s := range append(core.Strategies, core.Optimistic) {
+		for _, s := range core.Strategies {
 			g := ir.Clone(f)
 			opt := core.Options{Strategy: s, Virtualize: s == core.SreedharIII, Linear: true, LiveCheck: true}
 			if _, err := core.Translate(g, opt); err != nil {

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/liveness"
@@ -126,10 +125,6 @@ func OutOfSSAWithMemo(opt core.Options, memo *core.Memo) []Pass {
 				}
 				return ctx.Translation.Coalesce()
 			},
-			// The virtualized coalescer materializes copies but maintains
-			// the def-use index as it goes (the phase also revalidates it
-			// itself, for callers driving core.Translation directly).
-			Preserves: []analysis.Kind{analysis.DefUse},
 		},
 		{
 			Name: "out-of-ssa-rewrite",
@@ -152,17 +147,6 @@ func OutOfSSAWithMemo(opt core.Options, memo *core.Memo) []Pass {
 
 // Translate assembles the standard out-of-SSA pipeline for opt.
 func Translate(opt core.Options) *Pipeline { return New(OutOfSSA(opt)...) }
-
-// Cleanup returns the jump-block folding pass for φ-free code.
-func Cleanup() Pass {
-	return Pass{
-		Name: "cleanup-jump-blocks",
-		Run: func(ctx *Context) error {
-			ctx.CleanedBlocks += ir.CleanupJumpBlocks(ctx.Func)
-			return nil
-		},
-	}
-}
 
 // RegAlloc returns the linear-scan register-allocation pass over φ-free
 // code, with the given register pool. One cached liveness computation is

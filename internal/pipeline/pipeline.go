@@ -8,10 +8,9 @@
 // expensive substrates are replaced by cheap on-demand machinery — shows
 // up here as an architectural seam: dominance, def-use, liveness, the
 // fast liveness checker, and the interference graph are computed lazily,
-// memoized per function, invalidated by the IR's generation counters, and
-// revalidated by passes that declare what they preserve. SSA construction,
-// the four phases of the out-of-SSA translation, cleanup, and register
-// allocation are all passes over that cache.
+// memoized per function, and invalidated by the IR's generation counters.
+// SSA construction, the four phases of the out-of-SSA translation, and
+// register allocation are all passes over that cache.
 package pipeline
 
 import (
@@ -99,8 +98,6 @@ type Context struct {
 	// SSAOrig, set by the SSA-construction pass, maps each SSA variable to
 	// the original variable it versions.
 	SSAOrig []ir.VarID
-	// CleanedBlocks counts blocks removed by the cleanup pass.
-	CleanedBlocks int
 }
 
 // NewContext returns a fresh context for f with an empty cache.
@@ -112,22 +109,17 @@ func NewContext(f *ir.Func) *Context {
 type Pass struct {
 	// Name identifies the pass in errors and diagnostics.
 	Name string
-	// Run transforms ctx.Func (or only reads it).
+	// Run transforms ctx.Func (or only reads it). A pass that mutates the
+	// IR but keeps an analysis consistent by hand revalidates it in the
+	// cache itself (Cache.Preserve).
 	Run func(*Context) error
-	// Preserves lists the analyses the pass keeps consistent by hand even
-	// though it mutates the IR; the manager revalidates them in the cache
-	// after the pass ran. Analyses of untouched layers (e.g. the dominator
-	// tree across instruction-only rewriting) survive automatically via
-	// the IR generation counters and need not be listed.
-	Preserves []analysis.Kind
 }
 
-// Apply runs one pass on ctx and performs the cache bookkeeping the
-// manager owes it. Exposed so tests (and tools) can single-step a
-// pipeline while observing cache hit counts between passes. A failing
-// pass — and a panicking one (malformed input tripping an internal
-// invariant, e.g. non-SSA code reaching the def-use indexer) — comes back
-// as a *PassError naming the function and the pass.
+// Apply runs one pass on ctx. Exposed so tests (and tools) can
+// single-step a pipeline while observing cache hit counts between passes.
+// A failing pass — and a panicking one (malformed input tripping an
+// internal invariant, e.g. non-SSA code reaching the def-use indexer) —
+// comes back as a *PassError naming the function and the pass.
 func Apply(ctx *Context, p Pass) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -141,9 +133,6 @@ func Apply(ctx *Context, p Pass) (err error) {
 	}
 	if err := p.Run(ctx); err != nil {
 		return &PassError{Func: ctx.Func.Name, Pass: p.Name, Err: err}
-	}
-	for _, k := range p.Preserves {
-		ctx.Cache.Preserve(k)
 	}
 	return nil
 }

@@ -272,9 +272,9 @@ func TestCacheServesPasses(t *testing.T) {
 }
 
 // TestFullPipelineRawToRegalloc drives the whole stack — SSA construction,
-// copy folding, verification, out-of-SSA translation, cleanup, register
-// allocation — over raw (pre-SSA) functions through one pipeline, and
-// checks observable equivalence end to end.
+// copy folding, verification, out-of-SSA translation, register allocation
+// — over raw (pre-SSA) functions through one pipeline, and checks
+// observable equivalence end to end.
 func TestFullPipelineRawToRegalloc(t *testing.T) {
 	p := cfggen.DefaultProfile("rawpipe", 99)
 	p.Funcs = 8
@@ -284,7 +284,6 @@ func TestFullPipelineRawToRegalloc(t *testing.T) {
 		CopyProp(),
 		VerifySSA(),
 	}, append(OutOfSSA(core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}),
-		Cleanup(),
 		RegAlloc(pool),
 	)...)...)
 

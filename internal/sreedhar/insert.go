@@ -292,8 +292,9 @@ func collectCopies(f *ir.Func, ins *Insertion, out []Affinity) []Affinity {
 // predecessor twice. Copies for φ arguments are placed at the end of the
 // predecessor, which cannot distinguish two parallel edges from the same
 // block; Lemma 1 (disjoint predecessor blocks) needs this normalization.
-func SplitDuplicatePredEdges(f *ir.Func) []*ir.Block {
-	var added []*ir.Block
+// It returns the number of edges split.
+func SplitDuplicatePredEdges(f *ir.Func) int {
+	n := 0
 	for _, b := range f.Blocks {
 		if len(b.Phis) == 0 {
 			continue
@@ -305,21 +306,23 @@ func SplitDuplicatePredEdges(f *ir.Func) []*ir.Block {
 			p := b.Preds[i]
 			for j := 0; j < i; j++ {
 				if b.Preds[j] == p {
-					added = append(added, ir.SplitEdge(f, p, b))
+					ir.SplitEdge(f, p, b)
+					n++
 					break
 				}
 			}
 		}
 	}
-	return added
+	return n
 }
 
 // SplitBranchDefEdges splits every edge whose φ argument is defined by the
 // predecessor's terminator (the Br_dec situation of Figure 2), so that
-// copy insertion becomes possible. It returns the inserted blocks. The
-// rewritten φ arguments keep their variable; only the predecessor changes.
-func SplitBranchDefEdges(f *ir.Func) []*ir.Block {
-	var added []*ir.Block
+// copy insertion becomes possible. It returns the number of edges split.
+// The rewritten φ arguments keep their variable; only the predecessor
+// changes.
+func SplitBranchDefEdges(f *ir.Func) int {
+	n := 0
 	for _, b := range f.Blocks {
 		if len(b.Phis) == 0 {
 			continue
@@ -339,9 +342,10 @@ func SplitBranchDefEdges(f *ir.Func) []*ir.Block {
 				}
 			}
 			if needs {
-				added = append(added, ir.SplitEdge(f, pred, b))
+				ir.SplitEdge(f, pred, b)
+				n++
 			}
 		}
 	}
-	return added
+	return n
 }

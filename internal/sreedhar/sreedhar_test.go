@@ -119,9 +119,8 @@ x:
 		t.Fatal("φ argument defined by Br_dec must be rejected before splitting")
 	}
 	// After splitting the offending edge, insertion succeeds.
-	split := sreedhar.SplitBranchDefEdges(f)
-	if len(split) != 1 {
-		t.Fatalf("one split expected, got %d", len(split))
+	if n := sreedhar.SplitBranchDefEdges(f); n != 1 {
+		t.Fatalf("one split expected, got %d", n)
 	}
 	if _, err := sreedhar.InsertCopies(f); err != nil {
 		t.Fatalf("insertion after split: %v", err)
@@ -154,9 +153,8 @@ func TestSplitDuplicatePredEdges(t *testing.T) {
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)
 	}
-	added := sreedhar.SplitDuplicatePredEdges(f)
-	if len(added) != 1 {
-		t.Fatalf("one split expected, got %d", len(added))
+	if n := sreedhar.SplitDuplicatePredEdges(f); n != 1 {
+		t.Fatalf("one split expected, got %d", n)
 	}
 	if err := ir.Verify(f); err != nil {
 		t.Fatal(err)

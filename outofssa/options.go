@@ -9,21 +9,14 @@ import (
 type Option func(*Translator) error
 
 // WithStrategy selects the coalescing strategy. Selecting SreedharIII
-// turns virtualized copy insertion on; selecting Optimistic turns it off
-// (de-coalescing needs the full copy set). Like every option this is
+// turns virtualized copy insertion on. Like every option this is
 // last-wins: a later conflicting option is honoured, and New rejects the
-// combination if it is invalid.
+// combination, or an undefined strategy, if it is invalid.
 func WithStrategy(s Strategy) Option {
 	return func(t *Translator) error {
-		if int(s) < 0 || int(s) > int(Optimistic) {
-			return fmt.Errorf("outofssa: invalid strategy %d", int(s))
-		}
 		t.opt.Strategy = s
-		switch s {
-		case SreedharIII:
+		if s == SreedharIII {
 			t.opt.Virtualize = true
-		case Optimistic:
-			t.opt.Virtualize = false
 		}
 		return nil
 	}
@@ -31,8 +24,8 @@ func WithStrategy(s Strategy) Option {
 
 // WithOptions replaces the whole machinery configuration — the escape
 // hatch for callers that sweep configurations (benchmarks, the figure
-// harness). Worker count, register pool, verification, and extra passes
-// are Translator-level settings and are not touched.
+// harness). Worker count, register pool, verification, and the memo are
+// Translator-level settings and are not touched.
 func WithOptions(o Options) Option {
 	return func(t *Translator) error {
 		t.opt = o
@@ -157,20 +150,6 @@ func WithRegisters(k int) Option {
 func WithRegisterPool(regs ...string) Option {
 	return func(t *Translator) error {
 		t.pool = append([]string(nil), regs...)
-		return nil
-	}
-}
-
-// WithExtraPass appends a user-supplied pass, run on each function after
-// the out-of-SSA rewrite (and before register allocation, when enabled).
-// A failure is reported as a *PassError carrying the given name. Extra
-// passes run in the order they were added.
-func WithExtraPass(name string, run func(*Func) error) Option {
-	return func(t *Translator) error {
-		if name == "" || run == nil {
-			return fmt.Errorf("outofssa: extra pass needs a name and a function")
-		}
-		t.extra = append(t.extra, extraPass{name: name, run: run})
 		return nil
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"iter"
 
-	"repro/internal/analysis"
 	"repro/internal/cfggen"
 	"repro/internal/core"
 	"repro/internal/pipeline"
@@ -44,13 +43,7 @@ type Translator struct {
 	workers int
 	pool    []string
 	verify  bool
-	extra   []extraPass
 	memo    *core.Memo
-}
-
-type extraPass struct {
-	name string
-	run  func(*Func) error
 }
 
 // New builds a Translator. The zero configuration is DefaultOptions (the
@@ -77,30 +70,14 @@ func New(opts ...Option) (*Translator, error) {
 func (t *Translator) Config() Options { return t.opt }
 
 // pipeline assembles the pass pipeline the Translator runs: optional SSA
-// verification, the four out-of-SSA phases, user-supplied extra passes,
-// and optional register allocation.
+// verification, the four out-of-SSA phases, and optional register
+// allocation.
 func (t *Translator) pipeline() *pipeline.Pipeline {
 	var passes []pipeline.Pass
 	if t.verify {
 		passes = append(passes, pipeline.VerifySSA())
 	}
 	passes = append(passes, pipeline.OutOfSSAWithMemo(t.opt, t.memo)...)
-	for _, ep := range t.extra {
-		run := ep.run
-		passes = append(passes, pipeline.Pass{
-			Name: ep.name,
-			Run: func(pctx *pipeline.Context) error {
-				if err := run(pctx.Func); err != nil {
-					return err
-				}
-				// The pass manager cannot see what a user pass touched;
-				// assume everything and let the analysis cache recompute
-				// (a CFG mutation advances the code generation too).
-				pctx.Func.MarkCFGMutated()
-				return nil
-			},
-		})
-	}
 	if len(t.pool) > 0 {
 		passes = append(passes, pipeline.RegAlloc(t.pool))
 	}
@@ -119,8 +96,8 @@ type Result struct {
 	// Alloc is the register allocation, when enabled with
 	// WithRegisters/WithRegisterPool; nil otherwise or on failure.
 	Alloc *Allocation
-	// CleanedBlocks counts degenerate jump blocks folded away after the
-	// rewrite.
+	// CleanedBlocks counts the degenerate jump blocks the rewrite folded
+	// away (Stats.CleanedBlocks; 0 when Stats is nil).
 	CleanedBlocks int
 	// Cache reports how the function's analysis cache behaved during the
 	// run — how many analysis requests (dominance, def-use, liveness, the
@@ -179,9 +156,8 @@ func resultOf(f *Func, pctx *pipeline.Context, err error) Result {
 	if pctx != nil {
 		r.Stats = pctx.Stats
 		r.Alloc = pctx.Alloc
-		r.CleanedBlocks = pctx.CleanedBlocks
 		if pctx.Stats != nil {
-			r.CleanedBlocks += pctx.Stats.CleanedBlocks
+			r.CleanedBlocks = pctx.Stats.CleanedBlocks
 		}
 		if pctx.Cache != nil {
 			for _, h := range pctx.Cache.Hits {
@@ -312,11 +288,4 @@ func BuildSSA(ctx context.Context, f *Func, fold bool) error {
 	)
 	_, err := pipeline.New(passes...).Run(ctx, f)
 	return err
-}
-
-// InstallLoopFrequencies assigns loop-nest-derived execution frequencies
-// to the blocks of f (the weights affinity-guided coalescing optimizes),
-// for inputs whose textual form carries no freq annotations.
-func InstallLoopFrequencies(f *Func) {
-	cfggen.InstallFrequencies(f, analysis.NewCache(f).Dom())
 }

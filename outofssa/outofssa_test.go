@@ -6,7 +6,6 @@ package outofssa_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -146,23 +145,18 @@ func TestPassErrorThroughAPI(t *testing.T) {
 	}
 }
 
+// TestTranslateAllCancellation: a batch whose context is already canceled
+// translates nothing, and every result carries the context's error. The
+// pipeline tests TestRunBatchCancellation and
+// TestRunBatchStealingCancellation cover cancellation mid-batch.
 func TestTranslateAllCancellation(t *testing.T) {
 	prof := outofssa.DefaultProfile("cancel", 7)
 	prof.Funcs = 16
 	fns := outofssa.Generate(prof)
 
 	cctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n := 0
-	tr, err := outofssa.New(
-		outofssa.WithWorkers(1), // deterministic dispatch order
-		outofssa.WithExtraPass("cancel-on-third", func(*outofssa.Func) error {
-			if n++; n == 3 {
-				cancel()
-			}
-			return nil
-		}),
-	)
+	cancel()
+	tr, err := outofssa.New(outofssa.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,17 +167,7 @@ func TestTranslateAllCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error hides the cancellation: %v", err)
 	}
-	// The first three functions were dispatched (the third one canceled
-	// during its own extra pass); everything behind them was never run.
-	if n != 3 {
-		t.Fatalf("%d functions ran, want 3", n)
-	}
-	for i := 0; i < 2; i++ {
-		if batch.Results[i].Err != nil || batch.Results[i].Stats == nil {
-			t.Fatalf("func %d should have completed: %+v", i, batch.Results[i])
-		}
-	}
-	for i := 3; i < len(fns); i++ {
+	for i := range fns {
 		r := batch.Results[i]
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("func %d: want context.Canceled, got %v", i, r.Err)
@@ -312,8 +296,8 @@ func TestParseFailureModes(t *testing.T) {
 
 func TestStrategyTable(t *testing.T) {
 	names := outofssa.StrategyNames()
-	if len(names) != len(outofssa.Strategies)+1 { // + Optimistic
-		t.Fatalf("StrategyNames has %d entries, want %d", len(names), len(outofssa.Strategies)+1)
+	if len(names) != len(outofssa.Strategies) {
+		t.Fatalf("StrategyNames has %d entries, want %d", len(names), len(outofssa.Strategies))
 	}
 	for _, n := range names {
 		s, err := outofssa.ParseStrategy(n)
@@ -333,15 +317,27 @@ func TestStrategyTable(t *testing.T) {
 		"intersect": outofssa.Intersect, "sreedhar1": outofssa.SreedharI,
 		"chaitin": outofssa.Chaitin, "value": outofssa.Value,
 		"sreedhar3": outofssa.SreedharIII, "valueis": outofssa.ValueIS,
-		"sharing": outofssa.Sharing, "optimistic": outofssa.Optimistic,
+		"sharing": outofssa.Sharing,
 	} {
 		got, err := outofssa.ParseStrategy(name)
 		if err != nil || got != want {
 			t.Fatalf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
 		}
 	}
-	if _, err := outofssa.ParseStrategy("bogus"); err == nil || !strings.Contains(err.Error(), "sharing") {
-		t.Fatalf("unknown-strategy error must list the valid names: %v", err)
+	// A value past the table prints as a number instead of panicking.
+	if got := outofssa.Strategy(len(names)).String(); got != "Strategy(7)" {
+		t.Fatalf("Strategy(7).String() = %q", got)
+	}
+	// An unknown name, including the retired "optimistic", fails with an
+	// error listing every valid name.
+	for _, name := range []string{"bogus", "optimistic"} {
+		_, err := outofssa.ParseStrategy(name)
+		if err == nil {
+			t.Fatalf("ParseStrategy(%q) accepted an unknown name", name)
+		}
+		if !strings.HasSuffix(err.Error(), "(valid: "+strings.Join(names, ", ")+")") {
+			t.Fatalf("unknown-strategy error must list the valid names: %v", err)
+		}
 	}
 }
 
@@ -385,9 +381,9 @@ func TestOptionValidation(t *testing.T) {
 	// New validates rather than repairs: explicitly conflicting options
 	// are rejected, and a later option overrides a strategy implication.
 	if _, err := outofssa.New(outofssa.WithOptions(outofssa.Options{
-		Strategy: outofssa.Optimistic, Virtualize: true,
+		Strategy: outofssa.Sharing + 1,
 	})); err == nil {
-		t.Fatal("Optimistic+Virtualize must be rejected, not repaired")
+		t.Fatal("a strategy past the table must be rejected, not run as Value")
 	}
 	if _, err := outofssa.New(
 		outofssa.WithStrategy(outofssa.SreedharIII),
@@ -398,29 +394,14 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := outofssa.New(outofssa.WithRegisters(-1)); err == nil {
 		t.Fatal("negative register count must be rejected")
 	}
-	if _, err := outofssa.New(outofssa.WithExtraPass("", nil)); err == nil {
-		t.Fatal("anonymous extra pass must be rejected")
-	}
 	if _, err := outofssa.New(outofssa.WithStrategy(outofssa.Strategy(99))); err == nil {
 		t.Fatal("out-of-range strategy must be rejected")
 	}
 }
 
-func TestRegistersAndExtraPass(t *testing.T) {
+func TestRegisters(t *testing.T) {
 	f := outofssa.MustParse(quickstartSrc)
-	ran := false
-	tr, err := outofssa.New(
-		outofssa.WithRegisters(4),
-		outofssa.WithExtraPass("observe", func(g *outofssa.Func) error {
-			ran = true
-			for _, b := range g.Blocks {
-				if len(b.Phis) != 0 {
-					return fmt.Errorf("extra pass saw φs in %s", b.Name)
-				}
-			}
-			return nil
-		}),
-	)
+	tr, err := outofssa.New(outofssa.WithRegisters(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,24 +409,8 @@ func TestRegistersAndExtraPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ran {
-		t.Fatal("extra pass did not run")
-	}
 	if res.Alloc == nil || res.Alloc.RegsUsed < 1 || res.Alloc.RegsUsed > 4 {
 		t.Fatalf("allocation missing or out of range: %+v", res.Alloc)
-	}
-
-	// A failing extra pass surfaces as a *PassError under its own name.
-	tr, err = outofssa.New(outofssa.WithExtraPass("boom", func(*outofssa.Func) error {
-		return fmt.Errorf("lowering rejected")
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = tr.Translate(context.Background(), outofssa.MustParse(quickstartSrc))
-	var pe *outofssa.PassError
-	if !errors.As(err, &pe) || pe.Pass != "boom" {
-		t.Fatalf("extra-pass failure not typed: %v", err)
 	}
 }
 

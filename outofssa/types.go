@@ -36,7 +36,7 @@ type (
 	// directly. WithOptions installs a complete value.
 	Options = core.Options
 	// Strategy selects the coalescing strategy (the paper's Figure 5
-	// variants plus the Optimistic extension).
+	// variants).
 	Strategy = core.Strategy
 	// Allocation is the result of the optional register-allocation stage
 	// enabled by WithRegisters/WithRegisterPool.
@@ -51,10 +51,6 @@ type (
 	PassError = pipeline.PassError
 	// Profile configures the synthetic workload generator.
 	Profile = cfggen.Profile
-	// NearDuplicateProfile configures the near-duplicate workload expansion
-	// (a base corpus plus structurally edited clones) that exercises the
-	// translation memo; see GenerateNearDuplicates.
-	NearDuplicateProfile = cfggen.NearDuplicateProfile
 )
 
 // The coalescing strategies, re-exported.
@@ -76,16 +72,10 @@ const (
 	// Sharing is ValueIS plus the copy-sharing post-pass — the paper's
 	// best-quality configuration and the façade default.
 	Sharing = core.Sharing
-	// Optimistic is the Budimlić-style optimistic-coalescing extension.
-	Optimistic = core.Optimistic
 )
 
-// Strategies lists the paper's Figure 5 strategies in presentation order
-// (Optimistic, the extension, is selectable but not part of the figure).
+// Strategies lists the paper's Figure 5 strategies in presentation order.
 var Strategies = append([]Strategy(nil), core.Strategies...)
-
-// selectable lists every strategy a name can resolve to, in table order.
-var selectable = append(append([]Strategy(nil), core.Strategies...), Optimistic)
 
 // flagName derives the canonical flag spelling of a strategy from its
 // display name: lower case, roman numerals as digits, no separators —
@@ -102,8 +92,8 @@ func flagName(s Strategy) string {
 // table order. Command-line tools derive their -strategy usage text from
 // it, so the list can never drift from the Strategy table.
 func StrategyNames() []string {
-	names := make([]string, len(selectable))
-	for i, s := range selectable {
+	names := make([]string, len(core.Strategies))
+	for i, s := range core.Strategies {
 		names[i] = flagName(s)
 	}
 	return names
@@ -113,7 +103,7 @@ func StrategyNames() []string {
 // case-insensitively) to its Strategy value.
 func ParseStrategy(name string) (Strategy, error) {
 	want := strings.ToLower(strings.TrimSpace(name))
-	for _, s := range selectable {
+	for _, s := range core.Strategies {
 		if flagName(s) == want {
 			return s, nil
 		}
@@ -168,12 +158,3 @@ func Generate(p Profile) []*Func { return cfggen.Generate(p) }
 // GenerateRaw produces the pre-SSA form of the same workload: multiple
 // assignments, no φ-functions. Feed it to BuildSSA.
 func GenerateRaw(p Profile) []*Func { return cfggen.GenerateRaw(p) }
-
-// GenerateNearDuplicates produces the base corpus interleaved with K
-// near-duplicate clones per function (renamed-only, dead-copy, and
-// swapped-branch edits) — the compile-server workload shape a translation
-// memo (NewMemo/WithMemo) pays off on. Deterministic from the profile's
-// seeds.
-func GenerateNearDuplicates(p NearDuplicateProfile) []*Func {
-	return cfggen.GenerateNearDuplicates(p)
-}
