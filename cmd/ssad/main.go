@@ -47,8 +47,10 @@ import (
 // Connection timeouts for both listeners. A peer that stalls before its
 // request headers are complete is cut off after readHeaderTimeout, and an
 // idle keep-alive connection is closed after idleTimeout. No ReadTimeout
-// is set: it would bound the body read too, and cut off a slow but
-// legitimate upload of a large batch.
+// is set: it would bound the whole body read too, and cut off a slow but
+// legitimate upload of a large batch. The serve package instead gives
+// each read of a body a deadline of its own, which moves forward as bytes
+// arrive, so only a peer that stalls mid-body is cut off.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
@@ -65,7 +67,7 @@ func main() {
 	maxTimeout := flag.Duration("maxtimeout", 5*time.Minute, "ceiling on requested per-request deadlines")
 	workers := flag.Int("workers", 0, "translation workers per /v1/batch request (0 = GOMAXPROCS)")
 	memoEntries := flag.Int("memo-entries", 0, "max entries in the shared translation memo (0 = default 4096, negative disables memoization)")
-	memoBytes := flag.Int64("memo-bytes", 0, "approximate byte budget of the translation memo (0 = default 256 MiB)")
+	memoBytes := flag.Int64("memo-bytes", 0, "byte budget of the translation memo, counted as the encoded bytes of the stored translations (0 = default 256 MiB)")
 	memoFile := flag.String("memo-file", "", "persist the translation memo across restarts: load from this file on boot, snapshot to it after drain")
 	drain := flag.Duration("drain", 15*time.Second, "graceful drain window on SIGINT/SIGTERM before in-flight work is aborted")
 	faultSpec := flag.String("faults", "", "arm failpoints, e.g. 'serve.decode=err:0.01,pipeline.outofssa=panic:every=500' (chaos testing; see -faults list)")
@@ -238,5 +240,5 @@ func saveMemo(s *serve.Server, path string) {
 		return
 	}
 	st := s.Memo().Stats()
-	log.Printf("memo snapshot written to %s (%d entries, ~%d bytes retained)", path, st.Entries, st.Bytes)
+	log.Printf("memo snapshot written to %s (%d entries, %d encoded bytes)", path, st.Entries, st.Bytes)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"fmt"
 	"sync"
 
 	"repro/internal/coalesce"
@@ -21,21 +22,23 @@ var (
 
 // Memo is a concurrency-safe, bounded store of completed translations,
 // keyed by the input function's structural fingerprint plus an options
-// fingerprint. On a hit the stored output is materialized into the caller's
-// function with ir.CloneInto, which carves the block lists from a few
-// arrays sized by the output's totals, and the caller's variable
-// identities (names, register pins, derivation links) are restored over the
-// original universe prefix, so a memoized result is bit-identical to a
-// fresh translation of the same input modulo the display names of
-// translation-minted blocks.
+// fingerprint. Each entry holds its translated output as the exact-size
+// ir.AppendBinary encoding, a fraction of the memory of the object graph it
+// encodes. On a hit the encoding is decoded into the caller's function with
+// ir.DecodeBinaryInto, which reuses the function's records and arenas, and
+// the caller's variable identities (names, register pins, derivation links)
+// are restored over the original universe prefix, so a memoized result is
+// bit-identical to a fresh translation of the same input modulo the
+// display names of translation-minted blocks.
 //
 // Determinism across sharers: translation decisions depend only on function
 // structure (names never feed them), so two workers that race to translate
 // structurally identical inputs store identical entries — Store is
 // idempotent on an existing key and the winner is irrelevant.
 //
-// Eviction is LRU, bounded both by entry count and by an approximate byte
-// budget of the retained output functions.
+// Eviction is LRU, bounded both by entry count and by a byte budget: the
+// encoded bytes of the stored translations, each entry counting its
+// encoding and its coalescing statuses.
 type Memo struct {
 	mu         sync.Mutex
 	entries    map[MemoKey]*list.Element
@@ -87,12 +90,14 @@ func optionsWord(o Options) uint64 {
 // concurrent Materialize calls only read it.
 type MemoEntry struct {
 	key      MemoKey
-	out      *ir.Func // private clone of the translated output
-	stats    Stats    // value copy; per-phase nanos zeroed
+	out      []byte // ir.AppendBinary encoding of the translated output
+	stats    Stats  // value copy; per-phase nanos zeroed
 	statuses []coalesce.Status
 	inVars   int // size of the input's variable universe at key time
-	size     int64
 }
+
+// size is the entry's charge against the memo's byte budget.
+func (e *MemoEntry) size() int64 { return int64(len(e.out) + len(e.statuses)) }
 
 // Statuses returns the per-affinity coalescing decisions of the stored
 // translation (the Figure 5 accounting), for differential comparison
@@ -113,8 +118,8 @@ const (
 )
 
 // NewMemo returns a memo bounded to maxEntries entries and maxBytes of
-// retained output (approximate). Zero selects the default for either
-// bound; negative disables that bound.
+// stored translations, counted as their encoded bytes. Zero selects the
+// default for either bound; negative disables that bound.
 func NewMemo(maxEntries int, maxBytes int64) *Memo {
 	if maxEntries == 0 {
 		maxEntries = DefaultMemoEntries
@@ -151,21 +156,20 @@ func (m *Memo) Lookup(key MemoKey) *MemoEntry {
 // be the post-translation state, inVars the input's variable-universe size
 // when the key was derived (translation only appends variables), st the
 // final statistics and statuses the coalescing decisions. The output is
-// cloned into private storage; f is not retained. Storing an existing key
-// refreshes its recency and changes nothing else — concurrent duplicate
-// misses store identical entries, so first-wins is deterministic.
+// encoded into one allocation of exactly its size; f is not retained.
+// Storing an existing key refreshes its recency and changes nothing else —
+// concurrent duplicate misses store identical entries, so first-wins is
+// deterministic.
 func (m *Memo) Store(key MemoKey, f *ir.Func, inVars int, st *Stats, statuses []coalesce.Status) {
 	if err := fpStore.Inject(); err != nil {
 		return // injected store fault: drop the entry, keep the result
 	}
-	out := ir.Clone(f)
 	e := &MemoEntry{
 		key:      key,
-		out:      out,
+		out:      ir.AppendBinary(nil, f),
 		stats:    *st,
 		statuses: append([]coalesce.Status(nil), statuses...),
 		inVars:   inVars,
-		size:     approxFuncBytes(out) + int64(len(statuses)),
 	}
 	e.stats.InsertNanos, e.stats.AnalyzeNanos = 0, 0
 	e.stats.CoalesceNanos, e.stats.RewriteNanos = 0, 0
@@ -183,24 +187,32 @@ func (m *Memo) install(e *MemoEntry) {
 		return
 	}
 	m.entries[e.key] = m.lru.PushFront(e)
-	m.bytes += e.size
+	m.bytes += e.size()
 	for (m.maxEntries > 0 && m.lru.Len() > m.maxEntries) ||
 		(m.maxBytes > 0 && m.bytes > m.maxBytes && m.lru.Len() > 1) {
 		back := m.lru.Back()
 		victim := back.Value.(*MemoEntry)
 		m.lru.Remove(back)
 		delete(m.entries, victim.key)
-		m.bytes -= victim.size
+		m.bytes -= victim.size()
 		m.evictions++
 	}
 }
 
-// Materialize overwrites f with the stored translated output, preserving
-// f's name and the identities (name, register pin, derivation base) of the
-// original variable-universe prefix, and returns a private copy of the
-// stored statistics (phase nanos zero: no phases ran). varBuf is optional
-// reusable scratch for the identity snapshot; the possibly-grown buffer is
-// returned for the caller to keep.
+// Materialize overwrites f with the stored translated output, decoding it
+// into f's own records and arenas, preserving f's name and the identities
+// (name, register pin, derivation base) of the original variable-universe
+// prefix, and returns a private copy of the stored statistics (phase nanos
+// zero: no phases ran). varBuf is optional reusable scratch for the
+// identity snapshot; the possibly-grown buffer is returned for the caller
+// to keep.
+//
+// The memo only holds encodings it made itself or loaded after a strict
+// decode and ir.Verify, so one that fails to decode can only come from a
+// bug: Materialize then panics with the entry's key, leaving f unusable.
+// The pipeline calls it inside a pass, whose recover turns the panic into
+// that function's PassError (runSafe catches one outside any pass too), so
+// the rest of a batch is unaffected.
 //
 // Translation never removes or reorders variables, and renaming picks class
 // representatives by ID, so the stored output's structure is exactly what
@@ -217,7 +229,9 @@ func (e *MemoEntry) Materialize(f *ir.Func, varBuf []ir.Var) (*Stats, []ir.Var) 
 		varBuf[i] = *f.Vars[i]
 	}
 	name := f.Name
-	ir.CloneInto(f, e.out)
+	if err := ir.DecodeBinaryInto(f, e.out); err != nil {
+		panic(fmt.Sprintf("core: memo entry %+v does not decode: %v", e.key, err))
+	}
 	f.Name = name
 	for i := range varBuf {
 		*f.Vars[i] = varBuf[i]
@@ -237,28 +251,4 @@ func (m *Memo) Stats() MemoStats {
 		Entries:   m.lru.Len(),
 		Bytes:     m.bytes,
 	}
-}
-
-// approxFuncBytes estimates the retained footprint of a stored output
-// function for the byte budget: operands, instruction and variable
-// records, and block structure. An estimate is enough — the budget guards
-// against unbounded growth, not exact accounting.
-func approxFuncBytes(f *ir.Func) int64 {
-	const (
-		varBytes   = 48
-		instrBytes = 64
-		blockBytes = 96
-	)
-	n := int64(len(f.Vars))*varBytes + int64(len(f.Blocks))*blockBytes
-	for _, b := range f.Blocks {
-		n += int64(len(b.Phis)+len(b.Instrs)) * instrBytes
-		for _, in := range b.Phis {
-			n += int64(len(in.Defs)+len(in.Uses)) * 4
-		}
-		for _, in := range b.Instrs {
-			n += int64(len(in.Defs)+len(in.Uses)) * 4
-		}
-		n += int64(len(b.Preds)+len(b.Succs)) * 8
-	}
-	return n
 }

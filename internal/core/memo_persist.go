@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,7 +27,9 @@ import (
 // stats is every counter of Stats but the four phase nanos (Store zeroes
 // them) as varints, RemainingWeight as 8 bytes of float64 bits; statuses
 // is a uvarint count and one byte per status; func is ir.AppendBinary's
-// encoding and runs to the end of the payload.
+// encoding and runs to the end of the payload. That is the form the memo
+// holds each entry in, so Snapshot writes the stored bytes as they are and
+// LoadSnapshot keeps a copy of each record's.
 //
 // The format shares the bench/store posture toward corruption: a torn tail
 // or a damaged record is skipped and counted, never fatal — losing one
@@ -52,7 +55,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Snapshot writes every entry to w in the versioned binary form. Entries
 // stream oldest-first so Load restores recency. The memo lock is held only
 // while the entry list is collected: entries are immutable after Store, so
-// encoding and writing run unlocked, and a slow writer never stalls Lookup
+// framing and writing run unlocked, and a slow writer never stalls Lookup
 // or Store.
 func (m *Memo) Snapshot(w io.Writer) error {
 	m.mu.Lock()
@@ -108,7 +111,7 @@ func (e *MemoEntry) appendPayload(dst []byte) []byte {
 	for _, s := range e.statuses {
 		dst = append(dst, byte(s))
 	}
-	return ir.AppendBinary(dst, e.out)
+	return append(dst, e.out...)
 }
 
 // LoadSnapshot reads a Snapshot stream into the memo, returning how many
@@ -118,7 +121,8 @@ func (e *MemoEntry) appendPayload(dst []byte) []byte {
 // tolerated and counted. A read error ends the load with the error, after
 // the entries before it were installed. Loaded entries respect the memo's
 // bounds, so loading a snapshot from a larger memo simply evicts from the
-// old tail.
+// old tail. Every record is decoded into one reused function to be
+// checked; the entry keeps a copy of the record's encoding.
 func (m *Memo) LoadSnapshot(r io.Reader) (loaded, skipped int, err error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	if p, _ := br.Peek(len(memoV1Prefix)); string(p) == memoV1Prefix {
@@ -132,6 +136,7 @@ func (m *Memo) LoadSnapshot(r io.Reader) (loaded, skipped int, err error) {
 		return 0, 0, fmt.Errorf("memo load: header %q, want %q version %d", hdr, memoMagic, memoVersion)
 	}
 	var payload []byte
+	check := ir.NewFunc("")
 	for {
 		var sum uint32
 		payload, sum, err = readRecord(br, payload)
@@ -148,7 +153,7 @@ func (m *Memo) LoadSnapshot(r io.Reader) (loaded, skipped int, err error) {
 		}
 		if crc32.Checksum(payload, castagnoli) != sum {
 			skipped++
-		} else if e := decodeMemoEntry(payload); e == nil {
+		} else if e := decodeMemoEntry(payload, check); e == nil {
 			skipped++
 		} else {
 			m.install(e)
@@ -206,8 +211,9 @@ func unexpected(err error) error {
 }
 
 // decodeMemoEntry decodes and validates one record payload, returning nil
-// on any damage.
-func decodeMemoEntry(p []byte) *MemoEntry {
+// on any damage. The record's function is decoded into check, which only
+// holds it for ir.Verify.
+func decodeMemoEntry(p []byte, check *ir.Func) *MemoEntry {
 	r := payloadReader{b: p}
 	e := &MemoEntry{}
 	e.key.FPHi = r.u64()
@@ -229,12 +235,10 @@ func decodeMemoEntry(p []byte) *MemoEntry {
 		}
 		r.b = r.b[n:]
 	}
-	out, err := ir.DecodeBinary(r.b)
-	if err != nil || inVars > uint64(len(out.Vars)) {
+	if ir.DecodeBinaryInto(check, r.b) != nil || ir.Verify(check) != nil || inVars > uint64(len(check.Vars)) {
 		return nil
 	}
-	e.out, e.inVars = out, int(inVars)
-	e.size = approxFuncBytes(out) + int64(len(e.statuses))
+	e.out, e.inVars = bytes.Clone(r.b), int(inVars)
 	return e
 }
 

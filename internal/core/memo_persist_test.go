@@ -22,13 +22,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden snapshot in testdata/")
 
-// translateInto runs the full translation on f under opt, storing into
-// memo, and returns the translated function.
-func translateInto(t testing.TB, memo *Memo, src string, opt Options) *ir.Func {
+// translation runs the full translation of src under opt and returns the
+// translated function with the rest of what Memo.Store takes.
+func translation(t testing.TB, src string, opt Options) (key MemoKey, f *ir.Func, inVars int, st *Stats, statuses []coalesce.Status) {
 	t.Helper()
-	f := ir.MustParse(src)
-	key := MemoKeyFor(f, opt)
-	inVars := len(f.Vars)
+	f = ir.MustParse(src)
+	key = MemoKeyFor(f, opt)
+	inVars = len(f.Vars)
 	tr, err := NewTranslation(f, opt, analysis.NewCache(f))
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,15 @@ func translateInto(t testing.TB, memo *Memo, src string, opt Options) *ir.Func {
 			t.Fatal(err)
 		}
 	}
-	memo.Store(key, f, inVars, tr.Stats, tr.CoalesceResult().Statuses)
+	return key, f, inVars, tr.Stats, tr.CoalesceResult().Statuses
+}
+
+// translateInto runs the full translation of src under opt, storing into
+// memo, and returns the translated function.
+func translateInto(t testing.TB, memo *Memo, src string, opt Options) *ir.Func {
+	t.Helper()
+	key, f, inVars, st, statuses := translation(t, src, opt)
+	memo.Store(key, f, inVars, st, statuses)
 	return f
 }
 
@@ -363,12 +371,16 @@ func TestMemoSnapshotGolden(t *testing.T) {
 			t.Fatalf("entry %#x missing after load", g.key.FPHi)
 		}
 		want := ir.MustParse(g.src)
-		if e.out.String() != want.String() || e.out.Name != want.Name || e.inVars != len(want.Vars) {
+		out, err := ir.DecodeBinary(e.out)
+		if err != nil {
+			t.Fatalf("entry %#x: %v", g.key.FPHi, err)
+		}
+		if out.String() != want.String() || out.Name != want.Name || e.inVars != len(want.Vars) {
 			t.Errorf("entry %#x: function or in_vars differ:\n--- got (in_vars %d)\n%s--- want (in_vars %d)\n%s",
-				g.key.FPHi, e.inVars, e.out, len(want.Vars), want)
+				g.key.FPHi, e.inVars, out, len(want.Vars), want)
 		}
 		for i, v := range want.Vars {
-			if got := e.out.Vars[i]; got.Name != v.Name || got.Reg != v.Reg {
+			if got := out.Vars[i]; got.Name != v.Name || got.Reg != v.Reg {
 				t.Errorf("entry %#x var %d: %+v, want %+v", g.key.FPHi, i, *got, *v)
 			}
 		}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/cfggen"
 	"repro/internal/ir"
 )
 
@@ -208,4 +212,78 @@ func TestMemoEviction(t *testing.T) {
 	if ms := mb.Stats(); ms.Entries != 1 || ms.Evictions != 2 {
 		t.Fatalf("byte-budget accounting: %+v", ms)
 	}
+}
+
+// TestMemoBytesExact: the byte budget charges each entry its encoding and
+// its statuses, exactly, and a snapshot round trip keeps the sum.
+func TestMemoBytesExact(t *testing.T) {
+	opt := Options{Strategy: Sharing, Linear: true, LiveCheck: true}
+	memo := NewMemo(0, 0)
+	var want int64
+	for _, f := range cfggen.Generate(cfggen.DefaultProfile("memobytes", 9))[:12] {
+		key, out, inVars, st, statuses := translation(t, f.String(), opt)
+		memo.Store(key, out, inVars, st, statuses)
+		want += int64(len(ir.AppendBinary(nil, out)) + len(statuses))
+	}
+	if got := memo.Stats().Bytes; got != want {
+		t.Fatalf("Stats().Bytes = %d after storing, want %d", got, want)
+	}
+	var buf bytes.Buffer
+	if err := memo.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewMemo(0, 0)
+	if _, skipped, err := fresh.LoadSnapshot(&buf); err != nil || skipped != 0 {
+		t.Fatalf("load: skipped %d, err %v", skipped, err)
+	}
+	if st := fresh.Stats(); st.Bytes != want || st.Entries != memo.Stats().Entries {
+		t.Fatalf("after a snapshot round trip: %+v, want %d bytes", st, want)
+	}
+}
+
+// TestMemoStoreAllocs: Store takes the same number of allocations at every
+// function size, because it encodes the output into one allocation of
+// exactly its size.
+func TestMemoStoreAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime adds its own allocations")
+	}
+	opt := Options{Strategy: Sharing, Linear: true, LiveCheck: true}
+	var counts []float64
+	for _, stmts := range []int{10, 100, 1000} {
+		p := cfggen.DefaultProfile("memostore", 5)
+		p.Funcs, p.MinStmts, p.MaxStmts = 1, stmts, stmts
+		key, f, inVars, st, statuses := translation(t, cfggen.Generate(p)[0].String(), opt)
+		if len(statuses) == 0 {
+			t.Fatalf("%d statements: no affinities; the sizes would store different records", stmts)
+		}
+		memo := NewMemo(0, -1)
+		counts = append(counts, testing.AllocsPerRun(20, func() {
+			key.FPLo++
+			memo.Store(key, f, inVars, st, statuses)
+		}))
+	}
+	if counts[0] != counts[1] || counts[1] != counts[2] {
+		t.Fatalf("Store takes %v allocations at 10, 100 and 1,000 statements, want the same at every size", counts)
+	}
+}
+
+// TestMemoMaterializePanicsOnBadEncoding: a stored encoding that does not
+// decode can only come from a bug, and Materialize panics naming the key.
+func TestMemoMaterializePanicsOnBadEncoding(t *testing.T) {
+	opt := Options{Strategy: Sharing, Linear: true, LiveCheck: true}
+	memo := NewMemo(16, 0)
+	translateInto(t, memo, memoSrc, opt)
+	key := MemoKeyFor(ir.MustParse(memoSrc), opt)
+	e := memo.Lookup(key)
+	if e == nil {
+		t.Fatal("stored entry not found")
+	}
+	e.out = e.out[:len(e.out)-1]
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fmt.Sprintf("%+v", key)) {
+			t.Fatalf("Materialize of a truncated encoding recovered %v, want a panic naming %+v", r, key)
+		}
+	}()
+	e.Materialize(ir.MustParse(memoSrc), nil)
 }

@@ -29,7 +29,7 @@ func wireFunc(tb testing.TB) (src string, out *ir.Func) {
 
 // TestWireAllocs bounds the allocations of parsing a request, printing its
 // translation and decoding the request's function from its binary
-// encoding, with about 2x headroom over the measured 64, 13 and 12; the
+// encoding, with about 2x headroom over the measured 64, 13 and 13; the
 // reference parser and printer take 489 and 347, the version-1 JSON
 // decoder 678.
 func TestWireAllocs(t *testing.T) {

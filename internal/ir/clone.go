@@ -12,18 +12,18 @@ func Clone(f *Func) *Func {
 
 // CloneInto rebuilds dst as a deep copy of src and returns dst. All of
 // dst's previous contents are discarded; its block records and arenas are
-// reused. A record takes the block it took at the previous CloneInto into
-// dst, wherever edge splits and cleanup moved it since. Every list of
-// every record dst holds, the spare records' included, is carved from two
-// arrays dst keeps for the purpose, one of edges and one of instructions,
-// and keeps the capacity it had grown to, clamped so that an append past
-// it reallocates privately instead of overwriting its neighbour. So
-// cloning into a freshly parsed function, as a memo hit does, takes a
-// fixed number of allocations whatever the function's size, and restoring
-// the same pristine template into the same destination between
-// translations, as perfbench does, allocates nothing from the third call
-// on. dst and src must be different functions, and nothing may retain
-// pointers into dst's previous incarnation.
+// reused. A record takes the block it took at dst's previous rebuild
+// (CloneInto or DecodeBinaryInto), wherever edge splits and cleanup moved
+// it since. Every list of every record dst holds, the spare records'
+// included, is carved from two arrays dst keeps for the purpose, one of
+// edges and one of instructions, and keeps the capacity it had grown to,
+// clamped so that an append past it reallocates privately instead of
+// overwriting its neighbour. So restoring the same pristine template into
+// the same destination between translations, as perfbench does,
+// allocates nothing from the third call on, and cloning into a freshly
+// parsed function takes a fixed number of allocations whatever the
+// function's size. dst and src must be different functions, and nothing
+// may retain pointers into dst's previous incarnation.
 func CloneInto(dst, src *Func) *Func {
 	if dst == src {
 		panic("ir: CloneInto onto itself")
@@ -46,43 +46,15 @@ func CloneInto(dst, src *Func) *Func {
 		dst.Vars[i] = nv
 	}
 
-	// Blocks: each record goes back to the block it took last time; the
-	// others become spares, and the blocks left over take spares and then
-	// records from one fresh array.
-	n := len(src.Blocks)
-	pool := append(dst.spareBlocks, dst.Blocks...)
-	dst.Blocks = growList(dst.Blocks, n)
-	clear(dst.Blocks)
-	spares := pool[:0]
-	for _, r := range pool {
-		if i := r.cloned - 1; i >= 0 && i < n && dst.Blocks[i] == nil {
-			dst.Blocks[i] = r
-		} else {
-			spares = append(spares, r)
-		}
-	}
-	var fresh []Block
-	if k := n - len(pool); k > 0 {
-		fresh = make([]Block, k)
-	}
+	dst.placeBlocks(len(src.Blocks))
 	edgeCap, codeCap := 0, 0
 	for i, b := range src.Blocks {
 		nb := dst.Blocks[i]
-		switch {
-		case nb != nil:
-		case len(spares) > 0:
-			nb, spares = spares[len(spares)-1], spares[:len(spares)-1]
-		default:
-			nb, fresh = &fresh[0], fresh[1:]
-		}
-		nb.ID, nb.Name, nb.Freq, nb.cloned = b.ID, b.Name, b.Freq, i+1
-		dst.Blocks[i] = nb
+		nb.ID, nb.Name, nb.Freq = b.ID, b.Name, b.Freq
 		edgeCap += max(len(b.Preds), cap(nb.Preds)) + max(len(b.Succs), cap(nb.Succs))
 		codeCap += max(len(b.Phis), cap(nb.Phis)) + max(len(b.Instrs), cap(nb.Instrs))
 	}
-	dst.spareBlocks = spares
-	for _, r := range spares {
-		r.cloned = 0
+	for _, r := range dst.spareBlocks {
 		edgeCap += cap(r.Preds) + cap(r.Succs)
 		codeCap += cap(r.Phis) + cap(r.Instrs)
 	}
@@ -111,7 +83,7 @@ func CloneInto(dst, src *Func) *Func {
 			nb.Instrs[j] = cloneInstrInto(dst, in)
 		}
 	}
-	for _, r := range spares {
+	for _, r := range dst.spareBlocks {
 		r.Preds = carveList(&edges, r.Preds, 0)
 		r.Succs = carveList(&edges, r.Succs, 0)
 		r.Phis = carveList(&code, r.Phis, 0)
@@ -119,6 +91,44 @@ func CloneInto(dst, src *Func) *Func {
 	}
 	dst.MarkCFGMutated()
 	return dst
+}
+
+// placeBlocks makes f.Blocks n block records long for a rebuild, with
+// IDs 0 to n-1, and leaves the lists and every other field for the
+// caller to fill. Each record goes back to the block it took at the
+// previous rebuild; the other records become spares, and the blocks left
+// over take spares and then records from one fresh array.
+func (f *Func) placeBlocks(n int) {
+	pool := append(f.spareBlocks, f.Blocks...)
+	f.Blocks = growList(f.Blocks, n)
+	clear(f.Blocks)
+	spares := pool[:0]
+	for _, r := range pool {
+		if i := r.cloned - 1; i >= 0 && i < n && f.Blocks[i] == nil {
+			f.Blocks[i] = r
+		} else {
+			spares = append(spares, r)
+		}
+	}
+	var fresh []Block
+	if k := n - len(pool); k > 0 {
+		fresh = make([]Block, k)
+	}
+	for i, nb := range f.Blocks {
+		switch {
+		case nb != nil:
+		case len(spares) > 0:
+			nb, spares = spares[len(spares)-1], spares[:len(spares)-1]
+		default:
+			nb, fresh = &fresh[0], fresh[1:]
+		}
+		nb.ID, nb.cloned = i, i+1
+		f.Blocks[i] = nb
+	}
+	for _, r := range spares {
+		r.cloned = 0
+	}
+	f.spareBlocks = spares
 }
 
 // carveList cuts a list of length n from the front of *store, with the

@@ -88,44 +88,96 @@ func TestCloneIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCloneIntoFreshParseAllocs: materializing a translated function into
-// a fresh parse of its input, as a memo hit does, takes the same few
-// allocations at every function size. The parsed records' lists are
-// exactly as long as the input's, so appending the output's lists to them
-// took about one allocation per output block.
-func TestCloneIntoFreshParseAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime adds its own allocations")
-	}
+// translatedAt returns the source of a DefaultProfile function of stmts
+// statements and its translation under the default strategy.
+func translatedAt(t *testing.T, seed int64, stmts int) (src string, out *ir.Func) {
+	t.Helper()
 	tr, err := outofssa.New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := cfggen.DefaultProfile("clonefresh", seed)
+	p.Funcs, p.MinStmts, p.MaxStmts = 1, stmts, stmts
+	src = cfggen.Generate(p)[0].String()
+	res, err := tr.Translate(context.Background(), ir.MustParse(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src, res.Func
+}
+
+// freshParseAllocs translates functions of 10, 100 and 1,000 statements
+// and rebuilds fresh parses of each input into its translation with
+// rebuild, which is handed the translation and its encoding. Every
+// rebuild must take at most 12 allocations and print as the translation
+// does.
+func freshParseAllocs(t *testing.T, rebuild func(dst, out *ir.Func, enc []byte)) {
+	if raceEnabled {
+		t.Skip("the race runtime adds its own allocations")
+	}
 	const runs = 10
 	for _, stmts := range []int{10, 100, 1000} {
-		p := cfggen.DefaultProfile("clonefresh", 3)
-		p.Funcs, p.MinStmts, p.MaxStmts = 1, stmts, stmts
-		src := cfggen.Generate(p)[0].String()
-		res, err := tr.Translate(context.Background(), ir.MustParse(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := res.Func
+		src, out := translatedAt(t, 3, stmts)
+		enc := ir.AppendBinary(nil, out)
 		fresh := make([]*ir.Func, runs+1) // AllocsPerRun adds a warm-up call
 		for i := range fresh {
 			fresh[i] = ir.MustParse(src)
 		}
 		next := 0
 		got := testing.AllocsPerRun(runs, func() {
-			ir.CloneInto(fresh[next], out)
+			rebuild(fresh[next], out, enc)
 			next++
 		})
 		if got > 12 {
-			t.Errorf("%d output blocks: CloneInto into a fresh parse takes %v allocations, want at most 12",
+			t.Errorf("%d output blocks: rebuilding a fresh parse takes %v allocations, want at most 12",
 				len(out.Blocks), got)
 		}
 		if s := fresh[0].String(); s != out.String() {
-			t.Fatalf("%d output blocks: the clone differs from its source:\n%s", len(out.Blocks), s)
+			t.Fatalf("%d output blocks: the rebuilt function differs from its source:\n%s", len(out.Blocks), s)
+		}
+	}
+}
+
+// TestCloneIntoFreshParseAllocs: cloning a translated function into a
+// fresh parse of its input takes the same few allocations at every
+// function size. The parsed records' lists are exactly as long as the
+// input's, so appending the output's lists to them took about one
+// allocation per output block.
+func TestCloneIntoFreshParseAllocs(t *testing.T) {
+	freshParseAllocs(t, func(dst, out *ir.Func, _ []byte) { ir.CloneInto(dst, out) })
+}
+
+// TestDecodeBinaryIntoFreshParseAllocs: decoding a translation's encoding
+// into a fresh parse of its input, as a memo hit does, stays within
+// CloneInto's bound at every function size.
+func TestDecodeBinaryIntoFreshParseAllocs(t *testing.T) {
+	freshParseAllocs(t, func(dst, _ *ir.Func, enc []byte) {
+		if err := ir.DecodeBinaryInto(dst, enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestDecodeBinaryIntoReuse decodes translations of 1,000, 10 and 1,000
+// statements into one destination: whatever it held before, each result
+// prints as a fresh DecodeBinary of the same bytes does.
+func TestDecodeBinaryIntoReuse(t *testing.T) {
+	dst := ir.NewFunc("")
+	for i, stmts := range []int{1000, 10, 1000} {
+		_, out := translatedAt(t, int64(i), stmts)
+		enc := ir.AppendBinary(nil, out)
+		want, err := ir.DecodeBinary(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ir.DecodeBinaryInto(dst, enc); err != nil {
+			t.Fatal(err)
+		}
+		if got := dst.String(); got != want.String() {
+			t.Fatalf("%d statements: the reused destination differs from a fresh decode:\n%s", stmts, got)
+		}
+		if err := ir.Verify(dst); err != nil {
+			t.Fatalf("%d statements: %v", stmts, err)
 		}
 	}
 }

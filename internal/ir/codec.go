@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 )
 
-// Binary codec for Func, built for memo persistence. The textual form
+// Binary codec for Func, built for memo persistence and now also the
+// memo's in-memory form: every stored translation is held as its encoding
+// and decoded into the caller's function on a hit. The textual form
 // (Func.String / Parse) is not a faithful round trip for that purpose:
 // Parse assigns VarIDs by first textual appearance, which can permute the
 // variable universe, and Materialize's contract depends on the exact Vars
@@ -32,11 +36,13 @@ import (
 // so a decoded function holds no reference into its input. nEdges, nInstrs
 // and nOperands total the lengths of the blocks' edge lists, instruction
 // lists and the instructions' operand lists. The decoder sizes the
-// function's arenas and carves those lists from one array each, so a
-// function costs a fixed number of allocations whatever its size.
+// function's arenas and list arrays from them, so a function costs a fixed
+// number of allocations whatever its size.
 
-// AppendBinary appends the binary encoding of f to dst.
+// AppendBinary appends the binary encoding of f to dst, growing dst at
+// most once, to the encoding's exact size.
 func AppendBinary(dst []byte, f *Func) []byte {
+	dst = slices.Grow(dst, binarySize(f))
 	strs := len(f.Name)
 	for _, v := range f.Vars {
 		strs += len(v.Name) + len(v.Reg)
@@ -104,6 +110,55 @@ func appendVarList(dst []byte, vs []VarID) []byte {
 	return dst
 }
 
+// binarySize returns the length of AppendBinary's encoding of f.
+func binarySize(f *Func) int {
+	strs := len(f.Name)
+	n := uvarintLen(uint64(len(f.Name))) + uvarintLen(uint64(f.NumParams)) + uvarintLen(uint64(len(f.Vars)))
+	for _, v := range f.Vars {
+		strs += len(v.Name) + len(v.Reg)
+		n += uvarintLen(uint64(len(v.Name))) + uvarintLen(uint64(len(v.Reg))) + uvarintLen(uint64(v.base+1))
+	}
+	edges, instrs, operands := f.listTotals()
+	n += uvarintLen(uint64(len(f.Blocks))) + uvarintLen(uint64(edges)) + uvarintLen(uint64(instrs)) + uvarintLen(uint64(operands))
+	for _, b := range f.Blocks {
+		strs += len(b.Name)
+		n += uvarintLen(uint64(len(b.Name))) + 8
+		n += blockListSize(b.Preds) + blockListSize(b.Succs) + instrListSize(b.Phis) + instrListSize(b.Instrs)
+	}
+	return uvarintLen(uint64(strs)) + strs + n
+}
+
+func blockListSize(bs []*Block) int {
+	n := uvarintLen(uint64(len(bs)))
+	for _, b := range bs {
+		n += uvarintLen(uint64(b.ID))
+	}
+	return n
+}
+
+func instrListSize(ins []*Instr) int {
+	n := uvarintLen(uint64(len(ins)))
+	for _, in := range ins {
+		aux := uint64(in.Aux) << 1
+		if in.Aux < 0 {
+			aux = ^aux
+		}
+		n += 1 + varListSize(in.Defs) + varListSize(in.Uses) + uvarintLen(aux)
+	}
+	return n
+}
+
+func varListSize(vs []VarID) int {
+	n := uvarintLen(uint64(len(vs)))
+	for _, v := range vs {
+		n += uvarintLen(uint64(v))
+	}
+	return n
+}
+
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // The fewest bytes a var, a block and an instruction can take. The decoder
 // rejects any count the remaining input cannot hold, so no count or length
 // makes it allocate more than a fixed multiple of the bytes present.
@@ -114,35 +169,55 @@ const (
 )
 
 // DecodeBinary rebuilds a Func from AppendBinary output, which must span
-// all of data. Every count is bounded by the bytes left, every index is
-// bounds checked and the result must pass Verify, so a corrupted or
-// hand-edited snapshot entry is rejected rather than smuggled into the
-// process. The function's records come from its own arenas, and it keeps
-// no reference to data.
+// all of data: DecodeBinaryInto into a fresh function, followed by
+// Verify, so a corrupted or hand-edited snapshot entry is rejected rather
+// than smuggled into the process. The function keeps no reference to
+// data.
 func DecodeBinary(data []byte) (*Func, error) {
-	d := decoder{buf: data}
-	f := d.function()
-	if d.err == nil && (len(d.buf) > 0 || len(d.strs) > 0) {
-		d.err = fmt.Errorf("%d trailing bytes, %d unused string bytes", len(d.buf), len(d.strs))
+	f := NewFunc("")
+	if err := DecodeBinaryInto(f, data); err != nil {
+		return nil, err
 	}
-	if d.err == nil {
-		d.err = Verify(f)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("ir: decode %q: %w", f.Name, d.err)
+	if err := Verify(f); err != nil {
+		return nil, fmt.Errorf("ir: decode %q: %w", f.Name, err)
 	}
 	return f, nil
 }
 
+// DecodeBinaryInto rebuilds dst in place from AppendBinary output, which
+// must span all of data, and keeps no reference to data. Like CloneInto it
+// rewinds dst's arenas, gives each block record the block it took at
+// dst's previous rebuild, and carves the block lists from the two list
+// arrays dst keeps, so decoding into a freshly parsed function takes a
+// fixed number of allocations whatever its size. Each list is carved at
+// exactly its length, so an append past it reallocates privately, and the
+// spare records' lists are emptied. Every count is bounded by the bytes
+// left and every index is bounds checked, but the result is not verified:
+// DecodeBinary adds Verify. On error dst holds no usable function, but it
+// can be rebuilt again. Nothing may retain pointers into dst's previous
+// incarnation.
+func DecodeBinaryInto(dst *Func, data []byte) error {
+	d := decoder{buf: data}
+	d.function(dst)
+	if d.err == nil && (len(d.buf) > 0 || len(d.strs) > 0) {
+		d.err = fmt.Errorf("%d trailing bytes, %d unused string bytes", len(d.buf), len(d.strs))
+	}
+	if d.err != nil {
+		return fmt.Errorf("ir: decode %q: %w", dst.Name, d.err)
+	}
+	return nil
+}
+
 // decoder reads one encoded function. The first error sticks: later reads
-// return zero values, and DecodeBinary reports the first.
+// return zero values, and DecodeBinaryInto reports the first.
 type decoder struct {
 	buf  []byte
 	strs string // the rest of the string table
-	// The rest of the function's edge, instruction and operand arrays.
+	// The rest of the function's edge and instruction arrays, and the
+	// number of operands declared but not yet read.
 	edges  []*Block
 	instrs []*Instr
-	ops    []VarID
+	ops    int
 	err    error
 }
 
@@ -247,16 +322,20 @@ func (d *decoder) name() string {
 	return s
 }
 
-func (d *decoder) function() *Func {
+// function decodes the encoding into f, whose previous contents it
+// discards.
+func (d *decoder) function(f *Func) {
+	f.MarkCFGMutated()
+	f.resetArenas()
 	d.strs = string(d.fixed(d.count("string byte", 1)))
-	f := NewFunc(d.name())
+	f.Name = d.name()
 	if n := d.uvarint(); n > maxParamIndex+1 {
 		d.fail(fmt.Errorf("num_params %d out of range", n))
 	} else {
 		f.NumParams = int(n)
 	}
 
-	f.Vars = make([]*Var, d.count("var", minVarBytes))
+	f.Vars = growList(f.Vars, d.count("var", minVarBytes))
 	f.vars.reserve(len(f.Vars), 1)
 	for i := range f.Vars {
 		v := f.vars.alloc()
@@ -271,19 +350,25 @@ func (d *decoder) function() *Func {
 		f.Vars[i] = v
 	}
 
-	blocks := make([]Block, d.count("block", minBlockBytes))
-	if len(blocks) == 0 {
+	n := d.count("block", minBlockBytes)
+	if n == 0 {
 		d.fail(errors.New("no blocks"))
 	}
-	d.edges = make([]*Block, d.count("edge", 1))
-	d.instrs = make([]*Instr, d.count("instruction", minInstrBytes))
-	f.instrs.reserve(len(d.instrs), 1)
-	d.ops = make([]VarID, d.count("operand", 1))
-	f.Blocks = make([]*Block, len(blocks))
-	for i := range blocks {
-		blocks[i].ID = i
-		f.Blocks[i] = &blocks[i]
+	edges := d.count("edge", 1)
+	instrs := d.count("instruction", minInstrBytes)
+	d.ops = d.count("operand", 1)
+	if d.err != nil {
+		return
 	}
+	f.instrs.reserve(instrs, 1)
+	f.ids.reserve(d.ops)
+	f.placeBlocks(n)
+	for _, r := range f.spareBlocks {
+		r.Preds, r.Succs, r.Phis, r.Instrs = nil, nil, nil, nil
+	}
+	f.edgeStore = growList(f.edgeStore, edges)
+	f.codeStore = growList(f.codeStore, instrs)
+	d.edges, d.instrs = f.edgeStore, f.codeStore
 	for _, b := range f.Blocks {
 		if d.err != nil {
 			break
@@ -300,12 +385,10 @@ func (d *decoder) function() *Func {
 		b.Phis = d.instrList(f)
 		b.Instrs = d.instrList(f)
 	}
-	if d.err == nil && (len(d.edges) > 0 || len(d.instrs) > 0 || len(d.ops) > 0) {
+	if d.err == nil && (len(d.edges) > 0 || len(d.instrs) > 0 || d.ops > 0) {
 		d.fail(fmt.Errorf("%d edges, %d instructions and %d operands declared but not used",
-			len(d.edges), len(d.instrs), len(d.ops)))
+			len(d.edges), len(d.instrs), d.ops))
 	}
-	f.MarkCFGMutated()
-	return f
 }
 
 // carve reads a list length and cuts a list of that length from the front
@@ -345,7 +428,13 @@ func (d *decoder) instrList(f *Func) []*Instr {
 }
 
 func (d *decoder) varList(f *Func) []VarID {
-	ids := carve(d, &d.ops, "operand")
+	n := d.uvarint()
+	if n > uint64(d.ops) {
+		d.fail(fmt.Errorf("%d operands overrun the declared total", n))
+		return nil
+	}
+	d.ops -= int(n)
+	ids := f.ids.alloc(int(n))
 	for i := range ids {
 		ids[i] = VarID(d.index("var", len(f.Vars)))
 	}

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"slices"
@@ -96,7 +97,11 @@ func funcDiff(a, b *Func) string {
 
 func TestCodecRoundTrip(t *testing.T) {
 	f := codecFunc()
-	g, err := DecodeBinary(AppendBinary(nil, f))
+	enc := AppendBinary(nil, f)
+	if len(enc) != binarySize(f) {
+		t.Fatalf("encoding of %d bytes, binarySize says %d", len(enc), binarySize(f))
+	}
+	g, err := DecodeBinary(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,11 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for name, damage := range cases {
 		f := codecFunc()
 		damage(f)
-		if _, err := DecodeBinary(AppendBinary(nil, f)); err == nil {
+		enc := AppendBinary(nil, f)
+		if len(enc) != binarySize(f) {
+			t.Errorf("%s: encoding of %d bytes, binarySize says %d", name, len(enc), binarySize(f))
+		}
+		if _, err := DecodeBinary(enc); err == nil {
 			t.Errorf("%s: binary decode succeeded, want error", name)
 		}
 		data, err := EncodeJSON(f)
@@ -205,7 +214,12 @@ func TestDecodeRejectsEveryTruncation(t *testing.T) {
 
 // FuzzDecode feeds arbitrary bytes to the binary decoder: it must never
 // panic, anything it accepts must pass Verify, and re-encoding an accepted
-// function must decode to an equal one.
+// function must decode to an equal one. Each input is also decoded with
+// DecodeBinaryInto into one destination reused across inputs, failed ones
+// included, as the memo's hits and its snapshot loader reuse theirs: it
+// must never panic either, it must accept whatever DecodeBinary accepts
+// (it may accept more, since it skips Verify), and the two results must
+// re-encode to the same bytes.
 func FuzzDecode(f *testing.F) {
 	f.Add(AppendBinary(nil, codecFunc()))
 	f.Add(AppendBinary(nil, MustParse(`
@@ -229,7 +243,9 @@ done:
   ret d
 }
 `)))
+	reused := NewFunc("")
 	f.Fuzz(func(t *testing.T, data []byte) {
+		intoErr := DecodeBinaryInto(reused, data)
 		g, err := DecodeBinary(data)
 		if err != nil {
 			return
@@ -237,12 +253,22 @@ done:
 		if err := Verify(g); err != nil {
 			t.Fatalf("accepted a function that fails Verify: %v", err)
 		}
-		again, err := DecodeBinary(AppendBinary(nil, g))
+		enc := AppendBinary(nil, g)
+		if len(enc) != binarySize(g) {
+			t.Fatalf("encoding of %d bytes, binarySize says %d", len(enc), binarySize(g))
+		}
+		again, err := DecodeBinary(enc)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted function does not decode: %v", err)
 		}
 		if d := funcDiff(g, again); d != "" {
 			t.Fatalf("re-encoding changed the function: %s", d)
+		}
+		if intoErr != nil {
+			t.Fatalf("DecodeBinary accepted what DecodeBinaryInto rejects: %v", intoErr)
+		}
+		if into := AppendBinary(nil, reused); !bytes.Equal(into, enc) {
+			t.Fatalf("DecodeBinaryInto into a reused function re-encodes differently:\n%x\nvs\n%x", into, enc)
 		}
 	})
 }

@@ -150,10 +150,11 @@ type Block struct {
 	Instrs []*Instr
 	Freq   float64
 
-	// cloned is 1 + the index of the source block this record took at
-	// the last CloneInto into its function, or 0: the next CloneInto
-	// gives the record the same block again, whose lists its backing has
-	// grown to hold, wherever edge splits and cleanup moved it since.
+	// cloned is 1 + the index of the block this record took at the last
+	// CloneInto or DecodeBinaryInto into its function, or 0: the next
+	// rebuild gives the record the same block again, whose lists its
+	// backing has grown to hold, wherever edge splits and cleanup moved
+	// it since.
 	cloned int
 }
 
@@ -207,19 +208,19 @@ type Func struct {
 
 	// Chunked arenas backing the function's Instr/Var records and small
 	// operand slices (see slab.go). Their memory lives as long as the
-	// function and is rewound by CloneInto.
+	// function and is rewound by CloneInto and DecodeBinaryInto.
 	instrs instrArena
 	vars   varArena
 	ids    idArena
 
 	// spareBlocks recycles Block records detached by CleanupJumpBlocks or
-	// left over by CloneInto, so edge splitting and re-cloning reuse their
+	// left over by a rebuild (CloneInto, DecodeBinaryInto), so edge splitting and re-cloning reuse their
 	// records and edge/instruction slice backing.
 	spareBlocks []*Block
 
-	// edgeStore and codeStore back the block lists CloneInto carves: the
+	// edgeStore and codeStore back the block lists a rebuild carves: the
 	// Preds and Succs, and the Phis and Instrs, of every record it leaves
-	// f holding. The next CloneInto carves them again from the same arrays.
+	// f holding. The next rebuild carves them again from the same arrays.
 	edgeStore []*Block
 	codeStore []*Instr
 }

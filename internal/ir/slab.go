@@ -13,11 +13,11 @@ package ir
 //     clobber a neighbouring slice).
 //
 // Arena memory lives exactly as long as the function: nothing is freed
-// piecemeal, and CloneInto rewinds all three arenas when it rebuilds the
-// function in place and reserves its whole need in at most one chunk each,
-// which is what makes steady-state batch translation allocation-free
-// (amortized). Objects obtained from a Func's arenas must not outlive it
-// or be moved into another Func.
+// piecemeal, and CloneInto and DecodeBinaryInto rewind all three arenas
+// when they rebuild the function in place and reserve its whole need in
+// at most one chunk each, which is what makes steady-state batch
+// translation allocation-free (amortized). Objects obtained from a Func's
+// arenas must not outlive it or be moved into another Func.
 
 const (
 	instrChunk = 64  // Instr records per arena chunk
@@ -145,7 +145,8 @@ func (a *idArena) reserve(n int) {
 
 // NewInstr returns a fresh zeroed instruction with the given opcode,
 // allocated from the function's instruction arena. The record belongs to f:
-// it lives until the function is discarded or rebuilt with CloneInto.
+// it lives until the function is discarded or rebuilt (CloneInto,
+// DecodeBinaryInto).
 func (f *Func) NewInstr(op Op) *Instr {
 	in := f.instrs.alloc()
 	in.Op = op
@@ -168,8 +169,8 @@ func (f *Func) NewCopy(dst, src VarID) *Instr {
 	return in
 }
 
-// resetArenas rewinds all three arenas; CloneInto calls it before
-// rebuilding the function, when every old record is dead.
+// resetArenas rewinds all three arenas; CloneInto and DecodeBinaryInto
+// call it before rebuilding the function, when every old record is dead.
 func (f *Func) resetArenas() {
 	f.instrs.reset()
 	f.vars.reset()

@@ -66,10 +66,11 @@ func OutOfSSA(opt core.Options) []Pass { return OutOfSSAWithMemo(opt, nil) }
 
 // OutOfSSAWithMemo is OutOfSSA backed by a shared translation memo. The
 // insert pass fingerprints the still-unmutated input and looks it up; on a
-// hit the stored output is materialized (CloneInto, a fixed handful of
-// allocations, plus the input's variable identities) and the remaining phases no-op. On a miss
-// the rewrite pass stores the finished translation. A nil memo degrades to
-// the plain pipeline.
+// hit the stored encoding is decoded into the input's own records
+// (ir.DecodeBinaryInto, a fixed handful of allocations), the input's
+// variable identities are restored, and the remaining phases no-op. On a
+// miss the rewrite pass stores the finished translation. A nil memo
+// degrades to the plain pipeline.
 func OutOfSSAWithMemo(opt core.Options, memo *core.Memo) []Pass {
 	return []Pass{
 		{

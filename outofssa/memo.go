@@ -13,8 +13,10 @@ import (
 // the translator's machinery configuration. Attach one to a Translator
 // with WithMemo: structurally identical functions then translate once, and
 // every later occurrence — in the same batch, across batches, or across
-// daemon requests — materializes the stored output with a clone that takes
-// a fixed handful of allocations instead of re-running the pipeline.
+// daemon requests — decodes the stored output into its own function, in a
+// fixed handful of allocations, instead of re-running the pipeline. Each
+// translation is stored as its compact binary encoding, the form Snapshot
+// writes, not as a copy of the function.
 //
 // One Memo may back any number of Translators and is safe for concurrent
 // use; entries are only shared between translators with an identical
@@ -34,8 +36,8 @@ type MemoStats struct {
 	Hits, Misses uint64
 	// Evictions counts entries dropped by the LRU bounds.
 	Evictions uint64
-	// Entries and Bytes describe the current retained contents (Bytes is
-	// approximate).
+	// Entries and Bytes describe the current retained contents; Bytes
+	// counts the encoded bytes of the stored translations.
 	Entries int
 	Bytes   int64
 }
@@ -49,9 +51,9 @@ func (s MemoStats) HitRate() float64 {
 }
 
 // NewMemo returns a translation memo bounded to maxEntries stored
-// translations and maxBytes of retained output (approximate). Zero selects
-// the defaults (4096 entries, 256 MiB); a negative value disables that
-// bound. Eviction is least-recently-used.
+// translations and maxBytes, counted as the encoded bytes of the stored
+// translations. Zero selects the defaults (4096 entries, 256 MiB); a
+// negative value disables that bound. Eviction is least-recently-used.
 func NewMemo(maxEntries int, maxBytes int64) *Memo {
 	return &Memo{m: core.NewMemo(maxEntries, maxBytes)}
 }

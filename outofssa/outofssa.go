@@ -96,9 +96,6 @@ type Result struct {
 	// Alloc is the register allocation, when enabled with
 	// WithRegisters/WithRegisterPool; nil otherwise or on failure.
 	Alloc *Allocation
-	// CleanedBlocks counts the degenerate jump blocks the rewrite folded
-	// away (Stats.CleanedBlocks; 0 when Stats is nil).
-	CleanedBlocks int
 	// Cache reports how the function's analysis cache behaved during the
 	// run — how many analysis requests (dominance, def-use, liveness, the
 	// fast liveness checker, the interference graph) were served from the
@@ -156,9 +153,6 @@ func resultOf(f *Func, pctx *pipeline.Context, err error) Result {
 	if pctx != nil {
 		r.Stats = pctx.Stats
 		r.Alloc = pctx.Alloc
-		if pctx.Stats != nil {
-			r.CleanedBlocks = pctx.Stats.CleanedBlocks
-		}
 		if pctx.Cache != nil {
 			for _, h := range pctx.Cache.Hits {
 				r.Cache.Hits += h

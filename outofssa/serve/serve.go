@@ -85,9 +85,9 @@ type Config struct {
 	// identical inputs translate once; see outofssa.NewMemo). 0 selects the
 	// memo default (4096 entries); negative disables memoization entirely.
 	MemoEntries int
-	// MemoBytes bounds the memo's retained output bytes (approximate); 0
-	// selects the memo default (256 MiB). Ignored when MemoEntries is
-	// negative.
+	// MemoBytes bounds the memo's size, counted as the encoded bytes of
+	// the stored translations; 0 selects the memo default (256 MiB).
+	// Ignored when MemoEntries is negative.
 	MemoBytes int64
 }
 
@@ -308,7 +308,7 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		Name:          fns[0].Name,
 		Output:        fns[0].String(),
 		Stats:         res.Stats,
-		CleanedBlocks: res.CleanedBlocks,
+		CleanedBlocks: res.Stats.CleanedBlocks,
 		CacheHits:     res.Cache.Hits,
 		CacheMisses:   res.Cache.Misses,
 		MemoHit:       res.Cache.MemoHits > 0,
@@ -460,8 +460,19 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (TranslateReque
 		writeError(w, http.StatusBadRequest, err)
 		return TranslateRequest{}, nil, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
+	body := &deadlineBody{ReadCloser: r.Body, w: w}
+	r.Body = http.MaxBytesReader(w, body, s.cfg.MaxRequestBytes)
 	req, err := parseRequest(r)
+	if !body.failed {
+		// The body is read: lift the deadline, or it would end the
+		// connection's background read, and with it the request's
+		// context, in a translation longer than bodyReadTimeout. After a
+		// failed read it stays, so the server's discard of the unread
+		// rest fails at once and the connection closes instead of
+		// waiting on the peer. Clearing fails only where deadlines are
+		// unsupported or on a closed connection.
+		_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
+	}
 	if err != nil {
 		s.stats.reqBadRequest.Add(1)
 		status := http.StatusBadRequest

@@ -89,6 +89,43 @@ func TestTranslateRawBodyAndQuery(t *testing.T) {
 	}
 }
 
+// TestTranslateSlowBody sends a body in ten chunks 100 ms apart: the
+// server's body deadline moves forward as bytes arrive, so a slow upload
+// still translates.
+func TestTranslateSlowBody(t *testing.T) {
+	ts, _ := startServer(t, serve.Config{})
+	src := corpus(t, 1, 0)
+	pr, pw := io.Pipe()
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		step := (len(src) + 9) / 10
+		for i := 0; i < len(src); i += step {
+			time.Sleep(100 * time.Millisecond)
+			if _, err := io.WriteString(pw, src[i:min(i+step, len(src))]); err != nil {
+				return // the transport closed the body: the request failed
+			}
+		}
+		pw.Close()
+	}()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/translate", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(src))
+	req.Header.Set("Content-Type", "text/plain")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	<-sent
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"output"`) {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+}
+
 func TestTranslateRejections(t *testing.T) {
 	ts, cl := startServer(t, serve.Config{MaxRequestBytes: 64 << 10})
 	ctx := context.Background()

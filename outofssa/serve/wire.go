@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/outofssa"
 )
@@ -150,6 +152,38 @@ func readBody(body io.Reader, n int64) ([]byte, error) {
 	buf := make([]byte, n)
 	_, err := io.ReadFull(body, buf)
 	return buf, err
+}
+
+// bodyReadTimeout bounds each wait for more of a request body. The
+// deadline moves this far ahead before every read, so a slow upload is
+// never cut off, but a peer that stalls mid-body loses its connection,
+// its goroutine and its body buffer: the body is read before admission,
+// so MaxInFlight and the queue do not bound such peers.
+const bodyReadTimeout = 10 * time.Second
+
+// deadlineBody is a request body that moves the connection's read
+// deadline bodyReadTimeout ahead before every read, replacing for the
+// body any ReadTimeout of the http.Server the handler runs in. failed
+// records a read that failed, the deadline's expiry included.
+type deadlineBody struct {
+	io.ReadCloser
+	w      http.ResponseWriter
+	failed bool
+}
+
+func (b *deadlineBody) Read(p []byte) (int, error) {
+	// A ResponseWriter that cannot set deadlines, such as a handler
+	// test's recorder, reads without one.
+	err := http.NewResponseController(b.w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
+	if err != nil && !errors.Is(err, http.ErrNotSupported) {
+		b.failed = true
+		return 0, err
+	}
+	n, err := b.ReadCloser.Read(p)
+	if err != nil && err != io.EOF {
+		b.failed = true
+	}
+	return n, err
 }
 
 // requestQuery is the query form of a TranslateRequest, the fields that
