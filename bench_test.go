@@ -47,7 +47,7 @@ func workload() []*ir.Func {
 	return suiteFns
 }
 
-// translateAll times core.Translate over the workload. Each iteration's
+// translateAll times core.TranslateInto over the workload. Each iteration's
 // inputs are cloned up front with the timer stopped, so only translation
 // is timed.
 func translateAll(b *testing.B, opt core.Options) {
@@ -63,7 +63,7 @@ func translateAll(b *testing.B, opt core.Options) {
 		}
 		b.StartTimer()
 		for _, f := range clones {
-			st, err := core.Translate(f, opt)
+			st, err := core.TranslateInto(f, opt, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func BenchmarkFig7(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				measured, ordered, bits = 0, 0, 0
 				for _, f := range fns {
-					st, err := core.Translate(ir.Clone(f), cfg.Opt)
+					st, err := core.TranslateInto(ir.Clone(f), cfg.Opt, nil, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -185,7 +185,7 @@ func BenchmarkAblationClassInterference(b *testing.B) {
 					Live: livecheck.New(f, dt, du),
 					Vals: ssa.Values(f, dt),
 				}
-				classes := congruence.New(chk)
+				classes := congruence.NewIn(chk, nil)
 				for _, node := range ins.PhiNodes {
 					classes.MergeSingletons(node)
 				}
@@ -407,7 +407,7 @@ func BenchmarkAblationSequentialization(b *testing.B) {
 		cases = append(cases, pc{dsts: perm, srcs: ids})
 	}
 	scratch := ir.VarID(1000)
-	sc := parcopy.NewScratch()
+	sc := new(parcopy.Scratch)
 	emitted, naive := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -437,7 +437,7 @@ func BenchmarkAblationPhases(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ins, ana, coa, rew = 0, 0, 0, 0
 				for _, f := range fns {
-					st, err := core.Translate(ir.Clone(f), cfg.Opt)
+					st, err := core.TranslateInto(ir.Clone(f), cfg.Opt, nil, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

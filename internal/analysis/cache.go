@@ -98,9 +98,6 @@ type Cache struct {
 // NewCache returns an empty cache for f.
 func NewCache(f *ir.Func) *Cache { return &Cache{f: f} }
 
-// Func returns the function the cache serves.
-func (c *Cache) Func() *ir.Func { return c.f }
-
 // now returns the function's current generations.
 func (c *Cache) now() gens { return gens{cfg: c.f.CFGGen(), code: c.f.CodeGen()} }
 

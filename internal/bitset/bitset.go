@@ -119,16 +119,6 @@ func (s *Set) Count() int {
 	return c
 }
 
-// Empty reports whether the set has no elements.
-func (s *Set) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Copy returns an independent copy of s.
 func (s *Set) Copy() *Set {
 	w := make([]uint64, len(s.words))
@@ -170,25 +160,6 @@ func (s *Set) UnionWithAndNot(t, u *Set) bool {
 		}
 	}
 	return changed
-}
-
-// Equal reports whether s and t contain exactly the same elements.
-func (s *Set) Equal(t *Set) bool {
-	long, short := s.words, t.words
-	if len(long) < len(short) {
-		long, short = short, long
-	}
-	for i := range short {
-		if long[i] != short[i] {
-			return false
-		}
-	}
-	for i := len(short); i < len(long); i++ {
-		if long[i] != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // ForEach calls f for each element in increasing order.

@@ -256,7 +256,7 @@ func TestEvaluatedBytesFormula(t *testing.T) {
 }
 
 func TestOrderedBasic(t *testing.T) {
-	o := NewOrdered(0)
+	o := &Ordered{}
 	for _, v := range []int{5, 1, 9, 5, 3} {
 		o.Add(v)
 	}
@@ -280,7 +280,7 @@ func TestOrderedBasic(t *testing.T) {
 
 func TestOrderedMatchesSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	o := NewOrdered(0)
+	o := &Ordered{}
 	s := New(0)
 	for i := 0; i < 5000; i++ {
 		v := rng.Intn(200)
@@ -311,7 +311,7 @@ func TestOrderedMatchesSet(t *testing.T) {
 }
 
 func TestOrderedUnionWith(t *testing.T) {
-	a, b := NewOrdered(0), NewOrdered(0)
+	a, b := &Ordered{}, &Ordered{}
 	a.Add(1)
 	a.Add(5)
 	b.Add(5)
@@ -332,8 +332,8 @@ func TestOrderedUnionWith(t *testing.T) {
 func TestOrderedMergeOpsMatchModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 300; trial++ {
-		o := NewOrdered(0)
-		src := NewOrdered(0)
+		o := &Ordered{}
+		src := &Ordered{}
 		excl := New(150)
 		model := map[int]bool{}
 		for i := 0; i < 30; i++ {

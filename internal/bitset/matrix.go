@@ -27,9 +27,6 @@ func triIndex(i, j int) int {
 	return triSize(i) + j
 }
 
-// N returns the current universe size.
-func (m *Matrix) N() int { return m.n }
-
 // GrowTo extends the universe to at least n elements.
 func (m *Matrix) GrowTo(n int) {
 	if n <= m.n {
@@ -66,18 +63,6 @@ func (m *Matrix) Has(i, j int) bool {
 	k := triIndex(i, j)
 	return m.bits[k/wordBits]&(1<<(uint(k)%wordBits)) != 0
 }
-
-// Clear removes the relation between i and j.
-func (m *Matrix) Clear(i, j int) {
-	if i < 0 || j < 0 || i >= m.n || j >= m.n {
-		return
-	}
-	k := triIndex(i, j)
-	m.bits[k/wordBits] &^= 1 << (uint(k) % wordBits)
-}
-
-// Bytes returns the current payload size in bytes.
-func (m *Matrix) Bytes() int { return len(m.bits) * 8 }
 
 // AllocatedBytes returns the cumulative bytes allocated over the lifetime of
 // the matrix, including growth reallocations (the paper's "measured"

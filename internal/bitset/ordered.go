@@ -4,14 +4,9 @@ import "sort"
 
 // Ordered is a sorted slice of distinct ints: the "ordered set"
 // representation the paper uses for liveness sets in the memory-footprint
-// comparison of Figure 7.
+// comparison of Figure 7. The zero value is the empty set.
 type Ordered struct {
 	elems []int32
-}
-
-// NewOrdered returns an empty ordered set with the given capacity hint.
-func NewOrdered(capHint int) *Ordered {
-	return &Ordered{elems: make([]int32, 0, capHint)}
 }
 
 // Len returns the number of elements.
@@ -109,15 +104,6 @@ func (o *Ordered) ForEach(f func(int)) {
 	for _, v := range o.elems {
 		f(int(v))
 	}
-}
-
-// Elems returns a copy of the elements in increasing order.
-func (o *Ordered) Elems() []int {
-	out := make([]int, len(o.elems))
-	for i, v := range o.elems {
-		out[i] = int(v)
-	}
-	return out
 }
 
 // Bytes returns the payload footprint: 4 bytes per stored element

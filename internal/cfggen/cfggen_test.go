@@ -27,7 +27,7 @@ func TestDeterministic(t *testing.T) {
 
 func TestGeneratedAreStrictSSA(t *testing.T) {
 	for _, f := range cfggen.Generate(cfggen.DefaultProfile("strict", 8)) {
-		if err := ssa.Verify(f, dom.Build(f)); err != nil {
+		if err := ssa.VerifyIn(f, dom.Build(f), nil); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 	}

@@ -41,7 +41,7 @@ func TestNearDuplicatesShape(t *testing.T) {
 	}
 
 	for _, f := range got {
-		if err := ssa.Verify(f, dom.Build(f)); err != nil {
+		if err := ssa.VerifyIn(f, dom.Build(f), nil); err != nil {
 			t.Fatalf("%s is not strict SSA: %v", f.Name, err)
 		}
 	}

@@ -37,21 +37,6 @@ const (
 	Value
 )
 
-// String names the variant as in the paper's figures.
-func (v Variant) String() string {
-	switch v {
-	case Intersect:
-		return "Intersect"
-	case SreedharI:
-		return "Sreedhar I"
-	case Chaitin:
-		return "Chaitin"
-	case Value:
-		return "Value"
-	}
-	return "unknown"
-}
-
 // Machinery bundles how interference is actually tested: directly against
 // the checker, from a prebuilt interference graph, and with the linear or
 // quadratic class-level algorithm (paper, Section IV).

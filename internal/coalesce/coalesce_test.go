@@ -26,7 +26,7 @@ func setup(f *ir.Func, linear bool) (*coalesce.Machinery, *sreedhar.Insertion) {
 		F: f, DT: dt, DU: ir.NewDefUse(f), Live: liveness.Compute(f),
 		Vals: ssa.Values(f, dt),
 	}
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	for _, node := range ins.PhiNodes {
 		for i := 1; i < len(node); i++ {
 			classes.MergeForced(node[0], node[i])
@@ -143,8 +143,8 @@ func TestRegisterConflictBlocksCoalescing(t *testing.T) {
 		F: f, DT: dt, DU: ir.NewDefUse(f), Live: liveness.Compute(f),
 		Vals: ssa.Values(f, dt),
 	}
-	m := &coalesce.Machinery{Chk: chk, Classes: congruence.New(chk)}
-	affs := sreedhar.CollectExistingCopies(f)
+	m := &coalesce.Machinery{Chk: chk, Classes: congruence.NewIn(chk, nil)}
+	affs := sreedhar.CollectRealCopiesInto(f, nil, nil)
 	res := coalesce.Run(m, affs, coalesce.Value, false)
 	if res.RemainingCount != 1 {
 		t.Fatalf("the x→y copy must remain (different registers), got %+v", res)
@@ -182,10 +182,10 @@ entry:
 		F: f, DT: dt, DU: ir.NewDefUse(f), Live: liveness.Compute(f),
 		Vals: ssa.Values(f, dt),
 	}
-	m := &coalesce.Machinery{Chk: chk, Classes: congruence.New(chk), Linear: true}
+	m := &coalesce.Machinery{Chk: chk, Classes: congruence.NewIn(chk, nil), Linear: true}
 	a, z := ir.VarID(0), ir.VarID(1)
 	m.Classes.MergeForced(a, z) // emulate a prior coalescing decision
-	affs := sreedhar.CollectExistingCopies(f)
+	affs := sreedhar.CollectRealCopiesInto(f, nil, nil)
 	res := coalesce.Run(m, affs, coalesce.Value, false)
 	if res.RemainingCount != 2 {
 		t.Fatalf("both copies must be blocked by z in a's class: %+v", res)
@@ -227,7 +227,7 @@ func TestVirtualizerMatchesMethodIQuality(t *testing.T) {
 			F: f2, DT: dt, DU: ir.NewDefUse(f2), Live: liveness.Compute(f2),
 			Vals: ssa.Values(f2, dt),
 		}
-		m2 := &coalesce.Machinery{Chk: chk, Classes: congruence.New(chk), Linear: true}
+		m2 := &coalesce.Machinery{Chk: chk, Classes: congruence.NewIn(chk, nil), Linear: true}
 		vz := &coalesce.Virtualizer{M: m2, Ins: ins2, Variant: coalesce.Value,
 			Live: chk.Live.(*liveness.Info)}
 		res2 := vz.Run(f2)

@@ -24,7 +24,7 @@ func BenchmarkInterferesLinear(b *testing.B) {
 			}
 			src.WriteString("  s = const -1\n  print s\n  ret s\n}\n")
 			f := ir.MustParse(src.String())
-			classes := congruence.New(newChecker(f, true))
+			classes := congruence.NewIn(newChecker(f, true), nil)
 			// Variables are numbered in order of first mention: x0..x(n-1), s.
 			for i := 1; i < n; i++ {
 				classes.MergeSimple(0, ir.VarID(i))
@@ -56,7 +56,7 @@ func BenchmarkMergeSingleton(b *testing.B) {
 			}
 			src.WriteString("  ret x0\n}\n")
 			f := ir.MustParse(src.String())
-			classes := congruence.New(newChecker(f, true))
+			classes := congruence.NewIn(newChecker(f, true), nil)
 			// Variables are numbered in order of definition: x0..xn.
 			mid := n / 2
 			list := make([]ir.VarID, 0, n+1)

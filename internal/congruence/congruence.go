@@ -151,14 +151,10 @@ func (p *Pool) take(need int) []ir.VarID {
 	return make([]ir.VarID, 0, need+need/2+4)
 }
 
-// New returns singleton classes over the variable universe of chk.
-func New(chk *interference.Checker) *Classes {
-	return NewIn(chk, nil)
-}
-
-// NewIn is New with a caller-owned pool feeding the class storage; nil
-// selects a private pool. Pair it with Retire to hand the arrays back when
-// the classes are done.
+// NewIn returns singleton classes over the variable universe of chk, with
+// a caller-owned pool feeding the class storage; nil selects a private
+// pool. Pair it with Retire to hand the arrays back when the classes are
+// done.
 func NewIn(chk *interference.Checker, pool *Pool) *Classes {
 	if pool == nil {
 		pool = &Pool{}

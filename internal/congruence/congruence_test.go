@@ -102,7 +102,7 @@ func largeCases(t *testing.T, name string, seed int64) []replayCase {
 	for i, f := range append(cfggen.GenerateLarge(tp), cfggen.GenerateLarge(lp)...) {
 		ins := copyInserted(t, f)
 		affs := append([]sreedhar.Affinity(nil), ins.Affinities...)
-		affs = append(affs, sreedhar.CollectRealCopies(f, ins)...)
+		affs = append(affs, sreedhar.CollectRealCopiesInto(f, ins, nil)...)
 		sort.SliceStable(affs, func(i, j int) bool { return affs[i].Weight > affs[j].Weight })
 		out = append(out, replayCase{f, ins, affs, i%2 == 0})
 	}
@@ -113,7 +113,7 @@ func largeCases(t *testing.T, name string, seed int64) []replayCase {
 // force-merged, as Method I's Lemma 1 allows.
 func (rc *replayCase) start() (*interference.Checker, *congruence.Classes) {
 	chk := newChecker(rc.f, rc.liveCheck)
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	for _, node := range rc.ins.PhiNodes {
 		for i := 1; i < len(node); i++ {
 			classes.MergeForced(node[0], node[i])
@@ -261,7 +261,7 @@ join:
 		if chk.DefOrder(v("x3"), v("s")) >= 0 {
 			t.Fatal("left must precede right in pre-DFS order")
 		}
-		classes := congruence.New(chk)
+		classes := congruence.NewIn(chk, nil)
 		for _, x := range []string{"x1", "x2", "x3"} {
 			classes.MergeForced(v("x0"), v(x))
 		}
@@ -313,7 +313,7 @@ join:
 			{"p2", "p1", "p3"},
 			{"p1", "p2", "p3"},
 		} {
-			classes := congruence.New(chk)
+			classes := congruence.NewIn(chk, nil)
 			classes.MergeForced(v(tc.x), v(tc.y))
 			for _, values := range []bool{true, false} {
 				if got := checkPair(t, f, chk, classes, v(tc.single), v(tc.x), values); got != p2Used {
@@ -355,7 +355,7 @@ y:
 	if chk.DefOrder(v("u1"), v("u2")) >= 0 || chk.DefOrder(v("u2"), v("u3")) >= 0 || !chk.DefDominates(v("u1"), v("u3")) {
 		t.Fatal("u1 < u2 < u3 in pre-DFS order with u1 dominating u3 expected")
 	}
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	classes.MergeForced(v("u1"), v("u2"))
 	for _, values := range []bool{true, false} {
 		before := classes.Tests
@@ -396,7 +396,7 @@ func TestMembersStaySorted(t *testing.T) {
 			t.Fatal(err)
 		}
 		chk := newChecker(f, false)
-		classes := congruence.New(chk)
+		classes := congruence.NewIn(chk, nil)
 		for _, node := range ins.PhiNodes {
 			for i := 1; i < len(node); i++ {
 				classes.MergeForced(node[0], node[i])
@@ -439,7 +439,7 @@ entry:
 }
 `)
 	chk := newChecker(f, false)
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	a, b, c := ir.VarID(0), ir.VarID(1), ir.VarID(2)
 	if classes.SameClass(a, b) {
 		t.Fatal("fresh classes are singletons")
@@ -468,7 +468,7 @@ func TestRegisterLabelsPropagate(t *testing.T) {
 		{Op: ir.OpRet, Uses: []ir.VarID{y}},
 	}
 	chk := newChecker(f, false)
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	if classes.Reg(x) != "R0" || classes.Reg(z) != "R1" || classes.Reg(y) != "" {
 		t.Fatal("initial labels wrong")
 	}
@@ -495,7 +495,7 @@ func TestMergeForcedConflictingRegistersPanics(t *testing.T) {
 		{Op: ir.OpRet, Uses: []ir.VarID{y}},
 	}
 	chk := newChecker(f, false)
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -524,7 +524,7 @@ func TestMergeSamePinnedRegisterKeepsLabel(t *testing.T) {
 		{Op: ir.OpRet, Uses: []ir.VarID{y}},
 	}
 	chk := newChecker(f, false)
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	classes.MergeForced(x, y)
 	classes.MergeForced(z, x)
 	if classes.Reg(x) != "R4" || classes.Reg(y) != "R4" || classes.Reg(z) != "R4" {

@@ -38,7 +38,7 @@ func TestMergeBackwardMatchesSortedMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	f := permutedChain(rng, 6000)
 	chk := newChecker(f, false)
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	order := func(a, b ir.VarID) int {
 		if d := chk.DefOrder(a, b); d != 0 {
 			return d
@@ -168,7 +168,7 @@ func TestMergeSingletonsMatchesPairwise(t *testing.T) {
 		groups := forcedGroups(f, ins)
 		for _, lc := range []bool{true, false} {
 			chkPair, chkOnce := newChecker(f, lc), newChecker(f, lc)
-			pair, once := congruence.New(chkPair), congruence.New(chkOnce)
+			pair, once := congruence.NewIn(chkPair, nil), congruence.NewIn(chkOnce, nil)
 			for _, vs := range groups {
 				for _, v := range vs[1:] {
 					pair.MergeForced(vs[0], v)
@@ -247,7 +247,7 @@ entry:
 		{"first member again", false, []ir.VarID{a, b, a}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			classes := congruence.New(newChecker(f, false))
+			classes := congruence.NewIn(newChecker(f, false), nil)
 			if tc.merged {
 				classes.MergeForced(b, c)
 			}

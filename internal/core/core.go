@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/bitset"
 	"repro/internal/coalesce"
 	"repro/internal/congruence"
 	"repro/internal/interference"
@@ -202,7 +203,7 @@ func (dst *Stats) Accumulate(st *Stats) {
 //	t, _ := NewTranslation(f, opt, cache)
 //	t.Insert(); t.Analyze(); t.Coalesce(); t.Rewrite()
 //
-// Translate runs all four back to back. The phases must run in order,
+// TranslateInto runs all four back to back. The phases must run in order,
 // exactly once each; a phase called out of order returns an error.
 type Translation struct {
 	F     *ir.Func
@@ -509,19 +510,14 @@ func (t *Translation) Rewrite() error {
 // between pooled and fresh-scratch translations.
 func (t *Translation) CoalesceResult() *coalesce.Result { return t.res }
 
-// Translate rewrites f, which must be in strict SSA form, into equivalent
-// φ-free standard code, returning the statistics of the run. f is mutated
-// in place.
-func Translate(f *ir.Func, opt Options) (*Stats, error) {
-	return TranslateInto(f, opt, nil, nil)
-}
-
-// TranslateInto is Translate with a caller-provided analysis cache, so the
-// translation shares dominance, def-use, and liveness with surrounding
-// passes, and an explicit, caller-owned Scratch, so a loop of translations
-// reuses one scratch. an may be nil, in which case a private cache is
-// created; sc may be nil, in which case the translation draws one from
-// the package pool for its own duration.
+// TranslateInto rewrites f, which must be in strict SSA form, into
+// equivalent φ-free standard code, returning the statistics of the run. f
+// is mutated in place. A caller-provided analysis cache an lets the
+// translation share dominance, def-use, and liveness with surrounding
+// passes, and a caller-owned Scratch sc lets a loop of translations reuse
+// one scratch. an may be nil, in which case a private cache is created; sc
+// may be nil, in which case the translation draws one from the package
+// pool for its own duration.
 func TranslateInto(f *ir.Func, opt Options, an *analysis.Cache, sc *Scratch) (*Stats, error) {
 	t, err := NewTranslation(f, opt, an)
 	if err != nil {
@@ -616,7 +612,7 @@ func fillFootprint(st *Stats, f *ir.Func, g *interference.Graph, live *liveness.
 	nv, nb := len(f.Vars), len(f.Blocks)
 	if g != nil {
 		st.GraphBytes = g.AllocatedBytes()
-		st.GraphEval = (nv + 7) / 8 * nv / 2
+		st.GraphEval = bitset.EvaluatedBytes(nv)
 	}
 	if live != nil {
 		st.LiveSetBytes = live.Bytes()

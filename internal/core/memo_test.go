@@ -32,7 +32,7 @@ join:
 
 func memoTranslate(t *testing.T, f *ir.Func, opt Options) *Stats {
 	t.Helper()
-	st, err := Translate(f, opt)
+	st, err := TranslateInto(f, opt, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

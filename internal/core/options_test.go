@@ -81,8 +81,8 @@ func TestTranslateRejectsInvalidOptions(t *testing.T) {
 	if _, err := NewTranslation(nil, Options{UseGraph: true, LiveCheck: true}, nil); err == nil {
 		t.Fatal("NewTranslation accepted invalid options")
 	}
-	if _, err := Translate(nil, Options{Strategy: SreedharIII}); err == nil {
-		t.Fatal("Translate accepted invalid options")
+	if _, err := TranslateInto(nil, Options{Strategy: SreedharIII}, nil, nil); err == nil {
+		t.Fatal("TranslateInto accepted invalid options")
 	}
 }
 

@@ -28,16 +28,16 @@ import (
 // functions of any size (buffers grow and are invalidated per run) but not
 // concurrently.
 //
-// Translate draws a Scratch from a package pool per call; the pipeline
-// runner (internal/pipeline) instead holds one per batch worker, or one
-// pool-drawn scratch per Pipeline.Run, and threads it through every pass
-// of every function it runs, which is what makes steady-state batch
-// translation allocation-free (amortized). Nothing handed out by a Scratch
-// survives the run that used it: Translation.Release ends the
-// translation's involvement, the runner detaches the analysis storage and
-// the cache drops what it built there, and the translated function only
-// references arena memory owned by the function itself (ir slab
-// allocation).
+// TranslateInto without a Scratch draws one from a package pool per call;
+// the pipeline runner (internal/pipeline) instead holds one per batch
+// worker, or one pool-drawn scratch per Pipeline.Run, and threads it
+// through every pass of every function it runs, which is what makes
+// steady-state batch translation allocation-free (amortized). Nothing
+// handed out by a Scratch survives the run that used it:
+// Translation.Release ends the translation's involvement, the runner
+// detaches the analysis storage and the cache drops what it built there,
+// and the translated function only references arena memory owned by the
+// function itself (ir slab allocation).
 type Scratch struct {
 	an   analysis.Storage
 	ssa  ssa.Scratch

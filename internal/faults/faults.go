@@ -105,9 +105,6 @@ type Point struct {
 	cfg *config // nil while this point is unarmed
 }
 
-// Name returns the point's registered name.
-func (p *Point) Name() string { return p.name }
-
 var (
 	// armed is the package-level gate: false means every Inject call
 	// returns immediately after one atomic load.
@@ -142,9 +139,6 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// Active reports whether any failpoint schedule is currently armed.
-func Active() bool { return armed.Load() }
 
 // Enable replaces the active schedule with the parsed spec, seeds every
 // named point deterministically, resets all firing counters, and arms the
@@ -287,21 +281,6 @@ func hashName(s string) uint64 {
 // single atomic load.
 func (p *Point) Inject() error {
 	if !armed.Load() {
-		return nil
-	}
-	return p.inject()
-}
-
-// Inject fires the named failpoint; unregistered names are inert. Prefer
-// holding the *Point from Register on hot paths.
-func Inject(name string) error {
-	if !armed.Load() {
-		return nil
-	}
-	regMu.Lock()
-	p := registry[name]
-	regMu.Unlock()
-	if p == nil {
 		return nil
 	}
 	return p.inject()

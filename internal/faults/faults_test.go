@@ -18,11 +18,8 @@ func TestDisarmedInjectIsNil(t *testing.T) {
 	if err := p.Inject(); err != nil {
 		t.Fatalf("disarmed Inject returned %v", err)
 	}
-	if err := Inject("test.disarmed"); err != nil {
-		t.Fatalf("disarmed Inject(name) returned %v", err)
-	}
-	if Active() {
-		t.Fatal("Active() true before Enable")
+	if armed.Load() {
+		t.Fatal("gate armed before Enable")
 	}
 }
 
@@ -32,8 +29,8 @@ func TestErrorKindAlways(t *testing.T) {
 	if err := Enable("test.err=err", 1); err != nil {
 		t.Fatal(err)
 	}
-	if !Active() {
-		t.Fatal("Active() false after Enable")
+	if !armed.Load() {
+		t.Fatal("gate disarmed after Enable")
 	}
 	for i := 0; i < 3; i++ {
 		err := p.Inject()
@@ -162,7 +159,7 @@ func TestEnableRejectsUnknownPoint(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown failpoint") {
 		t.Fatalf("want unknown-failpoint error, got %v", err)
 	}
-	if Active() {
+	if armed.Load() {
 		t.Fatal("failed Enable armed the gate")
 	}
 }

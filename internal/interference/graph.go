@@ -104,9 +104,6 @@ func (g *Graph) pair(d, l ir.VarID, in *ir.Instr, vals []ir.VarID) {
 // Has reports whether a and b are recorded as interfering.
 func (g *Graph) Has(a, b ir.VarID) bool { return g.m.Has(int(a), int(b)) }
 
-// Bytes returns the current footprint of the bit matrix.
-func (g *Graph) Bytes() int { return g.m.Bytes() }
-
 // AllocatedBytes returns the cumulative allocation including growth.
 func (g *Graph) AllocatedBytes() int { return g.m.AllocatedBytes() }
 

@@ -1,6 +1,7 @@
 package interference_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cfggen"
@@ -80,13 +81,13 @@ func agreeAtStages(t *testing.T, f *ir.Func, useLiveCheck bool) {
 		t.Fatalf("%s: %v", f.Name, err)
 	}
 	chk := newChecker(g, useLiveCheck)
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	for _, node := range ins.PhiNodes {
 		for i := 1; i < len(node); i++ {
 			classes.MergeForced(node[0], node[i])
 		}
 	}
-	affs := append(ins.Affinities, sreedhar.CollectRealCopies(g, ins)...)
+	affs := append(ins.Affinities, sreedhar.CollectRealCopiesInto(g, ins, nil)...)
 	m := &coalesce.Machinery{Chk: chk, Classes: classes, Linear: true}
 	coalesce.Share(m, affs, coalesce.Run(m, affs, coalesce.Value, false))
 	agree(t, g, chk, "method I")
@@ -105,10 +106,10 @@ func agreeAtStages(t *testing.T, f *ir.Func, useLiveCheck bool) {
 			oracle = livecheck.New(g, dt, du)
 		}
 		chk := &interference.Checker{F: g, DT: dt, DU: du, Live: oracle, Vals: ssa.Values(g, dt)}
-		m := &coalesce.Machinery{Chk: chk, Classes: congruence.New(chk), Linear: true}
+		m := &coalesce.Machinery{Chk: chk, Classes: congruence.NewIn(chk, nil), Linear: true}
 		vz := &coalesce.Virtualizer{M: m, Ins: ins, Variant: v, Live: live}
 		vz.Run(g)
-		agree(t, g, chk, "virtualized "+v.String())
+		agree(t, g, chk, fmt.Sprintf("virtualized variant %d", v))
 	}
 }
 
@@ -209,7 +210,7 @@ exit:
 		if err != nil {
 			return
 		}
-		if err := ssa.Verify(fn, dom.Build(fn)); err != nil {
+		if err := ssa.VerifyIn(fn, dom.Build(fn), nil); err != nil {
 			return
 		}
 		for _, useLiveCheck := range []bool{false, true} {

@@ -124,7 +124,7 @@ func TestMatchesOracleOnRandomIrreducibleCFGs(t *testing.T) {
 		}
 		f := randomFunc(rng, treeEdges(rng, 3+rng.Intn(22)))
 		rebuild(f)
-		if err := ssa.Verify(f, &dt); err != nil {
+		if err := ssa.VerifyIn(f, &dt, nil); err != nil {
 			t.Fatalf("generator produced non-strict SSA: %v\n%s", err, f)
 		}
 		if isIrreducible(f, &dt) {

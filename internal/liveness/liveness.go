@@ -75,7 +75,6 @@ const (
 
 // Info holds the result of the dataflow analysis.
 type Info struct {
-	f       *ir.Func
 	liveIn  []VarSet
 	liveOut []VarSet
 	// Iterations is the maximum number of times any single block was
@@ -90,8 +89,9 @@ type Info struct {
 
 // Scratch holds the reusable working state of one liveness run: the
 // per-block upward-exposed/def/φ-edge sets, the worklist, the seed order,
-// and the visit counters. A Scratch may be reused across functions of any
-// size (buffers grow and are cleared per run) but not concurrently.
+// and the visit counters. The zero value is ready for use. A Scratch may
+// be reused across functions of any size (buffers grow and are cleared per
+// run) but not concurrently.
 type Scratch struct {
 	sets    []*bitset.Set // 3 per block: upExposed, defs, φ-edge uses
 	order   []int32       // reverse-postorder seed (worklist pop order)
@@ -100,9 +100,6 @@ type Scratch struct {
 	visits  []int32
 	dfsNext []int32 // per-block DFS successor cursor
 }
-
-// NewScratch returns an empty scratch for explicit reuse across runs.
-func NewScratch() *Scratch { return &Scratch{} }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
@@ -155,7 +152,6 @@ func ComputeInto(f *ir.Func, be Backend, sc *Scratch) *Info {
 	n := len(f.Blocks)
 	nv := len(f.Vars)
 	info := &Info{
-		f:       f,
 		liveIn:  make([]VarSet, n),
 		liveOut: make([]VarSet, n),
 	}
@@ -355,12 +351,11 @@ func ComputeReference(f *ir.Func, be Backend) *Info {
 	nv := len(f.Vars)
 	mk := func() VarSet {
 		if be == OrderedSets {
-			return ordSet{bitset.NewOrdered(0)}
+			return ordSet{&bitset.Ordered{}}
 		}
 		return bitSet{bitset.New(nv)}
 	}
 	info := &Info{
-		f:       f,
 		liveIn:  make([]VarSet, n),
 		liveOut: make([]VarSet, n),
 	}
@@ -414,9 +409,6 @@ func ComputeReference(f *ir.Func, be Backend) *Info {
 	}
 	return info
 }
-
-// Func returns the analyzed function.
-func (l *Info) Func() *ir.Func { return l.f }
 
 // In returns the set of variables live at entry of block b
 // (φ results of b excluded, by convention).

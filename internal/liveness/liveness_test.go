@@ -157,7 +157,7 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 	small := cfggen.Generate(cfggen.DefaultProfile("sc2", 11))
 	order := append(append([]*ir.Func{}, big...), small...)
 	order = append(order, big[0]) // shrink then grow again
-	sc := liveness.NewScratch()
+	sc := new(liveness.Scratch)
 	for _, f := range order {
 		got := liveness.ComputeInto(f, liveness.Bitsets, sc)
 		want := liveness.ComputeReference(f, liveness.Bitsets)

@@ -25,10 +25,10 @@ type Copy struct {
 	Dst, Src ir.VarID
 }
 
-// Scratch holds the reusable working state of the sequentializer. A Scratch
-// may be reused across parallel copies and functions of any size (tables
-// grow on demand and are invalidated per run by epoch stamps) but not
-// concurrently.
+// Scratch holds the reusable working state of the sequentializer. The zero
+// value is ready for use. A Scratch may be reused across parallel copies
+// and functions of any size (tables grow on demand and are invalidated per
+// run by epoch stamps) but not concurrently.
 type Scratch struct {
 	epoch uint32
 	// seen stamps destinations of the current run (duplicate rejection).
@@ -42,9 +42,6 @@ type Scratch struct {
 	toDo, ready []ir.VarID
 	out         []Copy
 }
-
-// NewScratch returns an empty scratch for explicit reuse across runs.
-func NewScratch() *Scratch { return &Scratch{} }
 
 // prepare starts a new run over variables < n.
 func (sc *Scratch) prepare(n int) {

@@ -26,7 +26,7 @@ func simulate(seq []Copy, vars int) []ir.VarID {
 func checkParallel(t *testing.T, dsts, srcs []ir.VarID, vars int) []Copy {
 	t.Helper()
 	fresh := func() ir.VarID { return ir.VarID(vars) } // one scratch slot
-	seq := NewScratch().Sequentialize(dsts, srcs, fresh)
+	seq := new(Scratch).Sequentialize(dsts, srcs, fresh)
 	env := simulate(seq, vars)
 	touched := map[ir.VarID]bool{ir.VarID(vars): true}
 	for i, d := range dsts {
@@ -206,7 +206,7 @@ func TestSequentializeInstr(t *testing.T) {
 		{Op: ir.OpParCopy, Defs: []ir.VarID{a, c}, Uses: []ir.VarID{c, a}},
 		{Op: ir.OpRet},
 	}
-	seq := NewScratch().SequentializeInstr(f, b, 0, func() ir.VarID { return f.NewVar("tmp") })
+	seq := new(Scratch).SequentializeInstr(f, b, 0, func() ir.VarID { return f.NewVar("tmp") })
 	if len(seq) != 3 || len(b.Instrs) != 4 {
 		t.Fatalf("swap expands to 3 copies in place, got %v / %d instrs", seq, len(b.Instrs))
 	}
@@ -226,7 +226,7 @@ func TestMismatchedPanics(t *testing.T) {
 			t.Fatal("want panic on mismatched lists")
 		}
 	}()
-	NewScratch().Sequentialize(v(1), v(1, 2), nil)
+	new(Scratch).Sequentialize(v(1), v(1, 2), nil)
 }
 
 // TestDuplicateDestinationPanics: a destination appearing twice makes the
@@ -241,7 +241,7 @@ func TestDuplicateDestinationPanics(t *testing.T) {
 	}()
 	// (a, a) ← (b, c): before the check, pred[a] was silently set to c and
 	// the copy from b was lost.
-	NewScratch().Sequentialize(v(1, 1), v(2, 3), nil)
+	new(Scratch).Sequentialize(v(1, 1), v(2, 3), nil)
 }
 
 // TestDuplicateSelfCopyDestinationPanics: the check covers self copies too
@@ -252,7 +252,7 @@ func TestDuplicateSelfCopyDestinationPanics(t *testing.T) {
 			t.Fatal("want panic on duplicate destination involving a self copy")
 		}
 	}()
-	NewScratch().Sequentialize(v(1, 1), v(1, 2), nil)
+	new(Scratch).Sequentialize(v(1, 1), v(1, 2), nil)
 }
 
 // TestQuickParallelSemantics drives Sequentialize with testing/quick:
@@ -277,7 +277,7 @@ func TestQuickParallelSemantics(t *testing.T) {
 			return true
 		}
 		fresh := func() ir.VarID { return ir.VarID(n) }
-		seq := NewScratch().Sequentialize(dsts, srcs, fresh)
+		seq := new(Scratch).Sequentialize(dsts, srcs, fresh)
 		env := simulate(seq, n)
 		for i, d := range dsts {
 			if env[d] != srcs[i] {

@@ -14,7 +14,7 @@ import (
 // of different sizes.
 func TestScratchMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	sc := NewScratch()
+	sc := new(Scratch)
 	for round := 0; round < 500; round++ {
 		n := rng.Intn(12) + 1
 		universe := n + rng.Intn(20) // IDs need not be dense
@@ -43,7 +43,7 @@ func TestScratchMatchesReference(t *testing.T) {
 // scratch engine directly and through the pooled wrapper (covered by
 // TestDuplicateDestinationPanics).
 func TestScratchDuplicateDestinationPanics(t *testing.T) {
-	sc := NewScratch()
+	sc := new(Scratch)
 	// Warm the scratch so the stamps are non-zero when the duplicate shows.
 	sc.Sequentialize(v(0, 1), v(1, 0), func() ir.VarID { return 9 })
 	defer func() {
@@ -82,7 +82,7 @@ func TestSpliceInPlacePreservesInstrIdentity(t *testing.T) {
 	check := func(t *testing.T, dsts, srcs []ir.VarID, wantCopies int) {
 		t.Helper()
 		f, b, pre, tail := build(dsts, srcs)
-		sc := NewScratch()
+		sc := new(Scratch)
 		seq := sc.SequentializeInstr(f, b, len(pre), func() ir.VarID { return f.NewVar("tmp") })
 		if len(seq) != wantCopies {
 			t.Fatalf("want %d copies, got %v", wantCopies, seq)
@@ -118,7 +118,7 @@ func TestSpliceInPlacePreservesInstrIdentity(t *testing.T) {
 // double-copy reference rewrite produce the same instruction stream.
 func TestSequentializeInstrMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	sc := NewScratch()
+	sc := new(Scratch)
 	for round := 0; round < 200; round++ {
 		n := rng.Intn(8) + 1
 		perm := rng.Perm(n + 4)

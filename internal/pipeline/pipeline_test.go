@@ -27,7 +27,7 @@ func zeroNanos(st core.Stats) core.Stats {
 
 // TestPipelineMatchesTranslate: pushing a function through the decomposed
 // four-pass pipeline produces exactly the code and statistics of the
-// monolithic core.Translate.
+// monolithic core.TranslateInto.
 func TestPipelineMatchesTranslate(t *testing.T) {
 	opts := []core.Options{
 		{Strategy: core.Value, Linear: true, LiveCheck: true},
@@ -39,7 +39,7 @@ func TestPipelineMatchesTranslate(t *testing.T) {
 	for _, f := range workload(t, 7, 6) {
 		for _, opt := range opts {
 			a, b := ir.Clone(f), ir.Clone(f)
-			want, err := core.Translate(a, opt)
+			want, err := core.TranslateInto(a, opt, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
@@ -48,7 +48,7 @@ func TestPipelineMatchesTranslate(t *testing.T) {
 				t.Fatalf("%s: pipeline: %v", f.Name, err)
 			}
 			if a.String() != b.String() {
-				t.Fatalf("%s opt %+v: pipeline output differs from core.Translate:\n--- core\n%s--- pipeline\n%s",
+				t.Fatalf("%s opt %+v: pipeline output differs from core.TranslateInto:\n--- core\n%s--- pipeline\n%s",
 					f.Name, opt, a, b)
 			}
 			if zeroNanos(*want) != zeroNanos(*ctx.Stats) {
@@ -66,12 +66,12 @@ func TestRunBatchDeterministic(t *testing.T) {
 	funcs := workload(t, 2026, 24)
 	opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
 
-	// Sequential reference through core.Translate directly.
+	// Sequential reference through core.TranslateInto directly.
 	seq := make([]*ir.Func, len(funcs))
 	var seqStats core.Stats
 	for i, f := range funcs {
 		seq[i] = ir.Clone(f)
-		st, err := core.Translate(seq[i], opt)
+		st, err := core.TranslateInto(seq[i], opt, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestRunBatchPooledLivenessScratch(t *testing.T) {
 		seq := make([]*ir.Func, len(funcs))
 		for i, f := range funcs {
 			seq[i] = ir.Clone(f)
-			if _, err := core.Translate(seq[i], opt); err != nil {
+			if _, err := core.TranslateInto(seq[i], opt, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

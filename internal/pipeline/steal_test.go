@@ -50,12 +50,12 @@ func TestRunBatchStealingMatchesReference(t *testing.T) {
 	} {
 		pl := Translate(opt)
 
-		// Sequential oracle: one function at a time through core.Translate.
+		// Sequential oracle: one function at a time through core.TranslateInto.
 		seq := make([]*ir.Func, len(funcs))
 		var seqStats core.Stats
 		for i, f := range funcs {
 			seq[i] = ir.Clone(f)
-			st, err := core.Translate(seq[i], opt)
+			st, err := core.TranslateInto(seq[i], opt, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestRunBatchStealingCancellation(t *testing.T) {
 	seq := make([]*ir.Func, len(funcs))
 	for i, f := range funcs {
 		seq[i] = ir.Clone(f)
-		if _, err := core.Translate(seq[i], opt); err != nil {
+		if _, err := core.TranslateInto(seq[i], opt, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -147,7 +147,7 @@ func TestRunBatchStorageWindow(t *testing.T) {
 	opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
 	want := make([]string, len(funcs))
 	for i, f := range funcs {
-		if ssa.Verify(f, dom.Build(f)) != nil {
+		if ssa.VerifyIn(f, dom.Build(f), nil) != nil {
 			continue // verification must reject it
 		}
 		g := ir.Clone(f)

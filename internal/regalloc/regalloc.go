@@ -40,17 +40,12 @@ type Result struct {
 	RegsUsed  int
 }
 
-// Allocate runs linear scan over f with the given register pool. Pinned
-// variables require their architectural register to be in the pool. f must
-// be φ-free (translate out of SSA first).
-func Allocate(f *ir.Func, pool []string) (*Result, error) {
-	return AllocateWith(f, pool, liveness.Compute(f))
-}
-
-// AllocateWith is Allocate with caller-provided dataflow liveness, so one
-// liveness computation can be shared between interval construction and
-// Verify (or served by the pipeline's analysis cache). live must describe
-// the current instructions of f.
+// AllocateWith runs linear scan over f with the given register pool.
+// Pinned variables require their architectural register to be in the
+// pool. f must be φ-free (translate out of SSA first). The caller provides
+// the dataflow liveness, so one liveness computation can be shared between
+// interval construction and VerifyWith (or served by the pipeline's
+// analysis cache). live must describe the current instructions of f.
 func AllocateWith(f *ir.Func, pool []string, live *liveness.Info) (*Result, error) {
 	for _, b := range f.Blocks {
 		if len(b.Phis) != 0 {
@@ -228,16 +223,12 @@ func buildIntervals(f *ir.Func, live *liveness.Info) []Interval {
 	return out
 }
 
-// Verify independently re-derives liveness and checks the assignment: no
-// two simultaneously live register-resident variables share a register, and
-// every pinned register-resident variable holds its architectural register.
-func Verify(f *ir.Func, res *Result) error {
-	return VerifyWith(f, res, liveness.Compute(f))
-}
-
-// VerifyWith is Verify with caller-provided liveness — the pipeline threads
-// the same liveness.Info through allocation and verification instead of
-// recomputing it for each.
+// VerifyWith checks the assignment against liveness: no two simultaneously
+// live register-resident variables share a register, and every pinned
+// register-resident variable holds its architectural register. The
+// pipeline threads the same liveness.Info through allocation and
+// verification instead of recomputing it for each; a check independent of
+// the allocation passes a fresh liveness.Compute(f).
 func VerifyWith(f *ir.Func, res *Result, live *liveness.Info) error {
 	for v, reg := range res.RegOf {
 		if p := f.Vars[v].Reg; p != "" && reg != "" && reg != p {

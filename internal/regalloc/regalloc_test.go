@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/liveness"
 	"repro/internal/regalloc"
 )
 
@@ -17,7 +18,7 @@ func translated(t *testing.T, seed int64, n int) []*ir.Func {
 	p.Funcs = n
 	funcs := cfggen.Generate(p)
 	for _, f := range funcs {
-		if _, err := core.Translate(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}); err != nil {
+		if _, err := core.TranslateInto(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,11 +42,11 @@ func pool(n int) []string {
 func TestAllocateAndVerify(t *testing.T) {
 	for _, regs := range []int{4, 6, 12, 24} {
 		for _, f := range translated(t, int64(1000+regs), 6) {
-			res, err := regalloc.Allocate(f, pool(regs))
+			res, err := regalloc.AllocateWith(f, pool(regs), liveness.Compute(f))
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
-			if err := regalloc.Verify(f, res); err != nil {
+			if err := regalloc.VerifyWith(f, res, liveness.Compute(f)); err != nil {
 				t.Fatalf("%s (pool %d): %v", f.Name, regs, err)
 			}
 			if res.RegsUsed > regs {
@@ -57,7 +58,7 @@ func TestAllocateAndVerify(t *testing.T) {
 
 func TestPinnedVariablesGetTheirRegister(t *testing.T) {
 	for _, f := range translated(t, 2000, 8) {
-		res, err := regalloc.Allocate(f, pool(10))
+		res, err := regalloc.AllocateWith(f, pool(10), liveness.Compute(f))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +77,11 @@ func TestPinnedVariablesGetTheirRegister(t *testing.T) {
 func TestSmallPoolSpills(t *testing.T) {
 	spills := 0
 	for _, f := range translated(t, 3000, 6) {
-		res, err := regalloc.Allocate(f, pool(3))
+		res, err := regalloc.AllocateWith(f, pool(3), liveness.Compute(f))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := regalloc.Verify(f, res); err != nil {
+		if err := regalloc.VerifyWith(f, res, liveness.Compute(f)); err != nil {
 			t.Fatal(err)
 		}
 		spills += res.Spills
@@ -105,7 +106,7 @@ j:
   ret x
 }
 `)
-	if _, err := regalloc.Allocate(f, pool(4)); err == nil {
+	if _, err := regalloc.AllocateWith(f, pool(4), liveness.Compute(f)); err == nil {
 		t.Fatal("φ-carrying input must be rejected")
 	}
 }
@@ -118,7 +119,7 @@ func TestRejectsMissingPinnedRegister(t *testing.T) {
 		{Op: ir.OpConst, Defs: []ir.VarID{x}, Aux: 1},
 		{Op: ir.OpRet, Uses: []ir.VarID{x}},
 	}
-	if _, err := regalloc.Allocate(f, []string{"r0", "r1"}); err == nil {
+	if _, err := regalloc.AllocateWith(f, []string{"r0", "r1"}, liveness.Compute(f)); err == nil {
 		t.Fatal("pool without the pinned register must be rejected")
 	}
 }
@@ -134,17 +135,17 @@ entry:
   ret a
 }
 `)
-	res, err := regalloc.Allocate(f, pool(4))
+	res, err := regalloc.AllocateWith(f, pool(4), liveness.Compute(f))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := regalloc.Verify(f, res); err != nil {
+	if err := regalloc.VerifyWith(f, res, liveness.Compute(f)); err != nil {
 		t.Fatal(err)
 	}
 	// Force a and b into one register: they are simultaneously live.
 	res.RegOf[0] = "r2"
 	res.RegOf[1] = "r2"
-	if err := regalloc.Verify(f, res); err == nil {
+	if err := regalloc.VerifyWith(f, res, liveness.Compute(f)); err == nil {
 		t.Fatal("verifier must reject overlapping assignment")
 	}
 }
@@ -161,14 +162,14 @@ func TestApplySemantics(t *testing.T) {
 		p.Funcs = 5
 		for _, orig := range cfggen.Generate(p) {
 			f := ir.Clone(orig)
-			if _, err := core.Translate(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}); err != nil {
+			if _, err := core.TranslateInto(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}, nil, nil); err != nil {
 				t.Fatal(err)
 			}
-			res, err := regalloc.Allocate(f, pool(16))
+			res, err := regalloc.AllocateWith(f, pool(16), liveness.Compute(f))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := regalloc.Verify(f, res); err != nil {
+			if err := regalloc.VerifyWith(f, res, liveness.Compute(f)); err != nil {
 				t.Fatal(err)
 			}
 			if err := regalloc.Apply(f, res); err != nil {

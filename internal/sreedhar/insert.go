@@ -40,7 +40,7 @@ type Insertion struct {
 	// guarantees they do not interfere).
 	PhiNodes [][]ir.VarID
 	// Affinities holds the φ-related copies, in φ order, plus nothing else;
-	// use CollectExistingCopies for the pre-existing ones.
+	// use CollectRealCopiesInto for the pre-existing ones.
 	Affinities []Affinity
 	// BeginCopies and EndCopies index the parallel copy instructions
 	// created per block (nil where none was needed).
@@ -237,24 +237,14 @@ func indexOf(b *ir.Block, in *ir.Instr) int {
 	panic("sreedhar: instruction not found in block")
 }
 
-// CollectExistingCopies returns affinities for the plain copies already in
-// f (register renaming constraints and optimization leftovers), to be
-// coalesced alongside the φ-related ones (paper, Section III-B).
-func CollectExistingCopies(f *ir.Func) []Affinity {
-	return collectCopies(f, nil, nil)
-}
-
-// CollectRealCopies is CollectExistingCopies restricted to the copies that
-// pre-existed copy insertion: the parallel copies ins itself created are
-// skipped.
-func CollectRealCopies(f *ir.Func, ins *Insertion) []Affinity {
-	return CollectRealCopiesInto(f, ins, nil)
-}
-
-// CollectRealCopiesInto is CollectRealCopies appending into dst (which may
-// be a recycled buffer). The insertion's own carriers are recognized by
-// pointer identity against the per-block BeginCopies/EndCopies records, so
-// no skip set is built.
+// CollectRealCopiesInto appends to dst (which may be a recycled buffer)
+// the affinities for the plain copies already in f (register renaming
+// constraints and optimization leftovers), to be coalesced alongside the
+// φ-related ones (paper, Section III-B). With a non-nil ins, only the
+// copies that pre-existed copy insertion count: the parallel copies ins
+// itself created are skipped. They are recognized by pointer identity
+// against the per-block BeginCopies/EndCopies records, so no skip set is
+// built.
 func CollectRealCopiesInto(f *ir.Func, ins *Insertion, dst []Affinity) []Affinity {
 	return collectCopies(f, ins, dst)
 }

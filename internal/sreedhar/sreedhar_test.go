@@ -26,14 +26,13 @@ func TestMethodIProducesCSSA(t *testing.T) {
 				t.Fatal(err)
 			}
 			dt := dom.Build(f)
-			if err := ssa.Verify(f, dt); err != nil {
+			if err := ssa.VerifyIn(f, dt, nil); err != nil {
 				t.Fatalf("%s: insertion broke SSA: %v", f.Name, err)
 			}
 			chk := &interference.Checker{
 				F: f, DT: dt, DU: ir.NewDefUse(f), Live: liveness.Compute(f),
 			}
-			webs := ssa.Webs(f)
-			for _, members := range ssa.WebMembers(webs) {
+			for _, members := range webMembers(phiWebs(f)) {
 				for i, x := range members {
 					for _, y := range members[i+1:] {
 						if chk.Intersect(x, y) {
@@ -181,7 +180,7 @@ entry (freq 2):
 }
 `
 	f := ir.MustParse(src)
-	affs := sreedhar.CollectExistingCopies(f)
+	affs := sreedhar.CollectRealCopiesInto(f, nil, nil)
 	if len(affs) != 3 {
 		t.Fatalf("3 copies expected (1 plain + 2 parallel pairs), got %d", len(affs))
 	}

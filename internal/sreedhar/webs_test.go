@@ -1,8 +1,12 @@
-package ssa
+package sreedhar_test
 
-import "repro/internal/ir"
+import (
+	"testing"
 
-// Webs groups the variables of f into φ-webs: the equivalence classes of
+	"repro/internal/ir"
+)
+
+// phiWebs groups the variables of f into φ-webs: the equivalence classes of
 // the transitive closure of "appears in the same φ-function". The SSA form
 // is conventional (CSSA) exactly when no two variables of a web interfere,
 // in which case every web can be given a single name and all φ-functions
@@ -10,7 +14,7 @@ import "repro/internal/ir"
 //
 // The returned slice maps each variable to its web representative
 // (union-find root); variables not touching any φ map to themselves.
-func Webs(f *ir.Func) []ir.VarID {
+func phiWebs(f *ir.Func) []ir.VarID {
 	parent := make([]ir.VarID, len(f.Vars))
 	for i := range parent {
 		parent[i] = ir.VarID(i)
@@ -42,9 +46,9 @@ func Webs(f *ir.Func) []ir.VarID {
 	return parent
 }
 
-// WebMembers inverts the representative map of Webs, returning only webs
+// webMembers inverts the representative map of phiWebs, returning only webs
 // with at least two members (singletons are uninteresting to CSSA checks).
-func WebMembers(webs []ir.VarID) map[ir.VarID][]ir.VarID {
+func webMembers(webs []ir.VarID) map[ir.VarID][]ir.VarID {
 	out := map[ir.VarID][]ir.VarID{}
 	for v, r := range webs {
 		out[r] = append(out[r], ir.VarID(v))
@@ -55,4 +59,46 @@ func WebMembers(webs []ir.VarID) map[ir.VarID][]ir.VarID {
 		}
 	}
 	return out
+}
+
+func TestWebs(t *testing.T) {
+	src := `
+func w {
+entry:
+  a = param 0
+  b = param 1
+  br a l r
+l:
+  jump j
+r:
+  jump j
+j:
+  p = phi l:a r:b
+  q = phi l:b r:a
+  z = add p q
+  print z
+  ret z
+}
+`
+	f := ir.MustParse(src)
+	webs := phiWebs(f)
+	id := func(n string) ir.VarID {
+		for i, v := range f.Vars {
+			if v.Name == n {
+				return ir.VarID(i)
+			}
+		}
+		panic(n)
+	}
+	// Both φs mention a and b: everything collapses into one web.
+	if webs[id("p")] != webs[id("q")] || webs[id("p")] != webs[id("a")] || webs[id("a")] != webs[id("b")] {
+		t.Fatal("p, q, a, b must share a web")
+	}
+	if webs[id("z")] == webs[id("p")] {
+		t.Fatal("z touches no φ: separate web")
+	}
+	members := webMembers(webs)
+	if len(members) != 1 {
+		t.Fatalf("one non-trivial web expected, got %d", len(members))
+	}
 }

@@ -2,7 +2,7 @@ package ssa
 
 import "repro/internal/ir"
 
-// Scratch is reusable memory for the per-variable tables of Verify and
+// Scratch is reusable memory for the per-variable tables of VerifyIn and
 // Values: the definition table, the value array and the dominator-tree
 // walk's stack. A batch worker keeps one and runs every function through
 // it, so neither verification nor value numbering allocates once the

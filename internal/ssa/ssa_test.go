@@ -46,7 +46,7 @@ out:
 func TestConstructProducesStrictSSA(t *testing.T) {
 	f := ir.MustParse(nonSSASrc)
 	dt, origOf := ssa.Construct(f)
-	if err := ssa.Verify(f, dt); err != nil {
+	if err := ssa.VerifyIn(f, dt, nil); err != nil {
 		t.Fatalf("not strict SSA: %v\n%s", err, f)
 	}
 	// x had defs in entry and t and is used at the join and beyond: the join
@@ -99,7 +99,7 @@ func TestConstructGeneratedSemantics(t *testing.T) {
 	for _, f := range cfggen.Generate(p) {
 		// Generated functions are already SSA; re-verify strictness.
 		dt := dom.Build(f)
-		if err := ssa.Verify(f, dt); err != nil {
+		if err := ssa.VerifyIn(f, dt, nil); err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 		_ = inputs
@@ -196,7 +196,7 @@ func TestPropagateCopiesBreaksCSSAButNotSemantics(t *testing.T) {
 		dt := dom.Build(f)
 		n := ssa.PropagateCopies(f, dt)
 		removed := ssa.EliminateDeadCode(f)
-		if err := ssa.Verify(f, dom.Build(f)); err != nil {
+		if err := ssa.VerifyIn(f, dom.Build(f), nil); err != nil {
 			t.Fatalf("%s: propagation broke SSA: %v", f.Name, err)
 		}
 		for _, in := range inputs {
@@ -242,48 +242,6 @@ entry:
 	}
 }
 
-func TestWebs(t *testing.T) {
-	src := `
-func w {
-entry:
-  a = param 0
-  b = param 1
-  br a l r
-l:
-  jump j
-r:
-  jump j
-j:
-  p = phi l:a r:b
-  q = phi l:b r:a
-  z = add p q
-  print z
-  ret z
-}
-`
-	f := ir.MustParse(src)
-	webs := ssa.Webs(f)
-	id := func(n string) ir.VarID {
-		for i, v := range f.Vars {
-			if v.Name == n {
-				return ir.VarID(i)
-			}
-		}
-		panic(n)
-	}
-	// Both φs mention a and b: everything collapses into one web.
-	if webs[id("p")] != webs[id("q")] || webs[id("p")] != webs[id("a")] || webs[id("a")] != webs[id("b")] {
-		t.Fatal("p, q, a, b must share a web")
-	}
-	if webs[id("z")] == webs[id("p")] {
-		t.Fatal("z touches no φ: separate web")
-	}
-	members := ssa.WebMembers(webs)
-	if len(members) != 1 {
-		t.Fatalf("one non-trivial web expected, got %d", len(members))
-	}
-}
-
 func TestVerifyCatchesUseBeforeDef(t *testing.T) {
 	src := `
 func bad {
@@ -294,7 +252,7 @@ entry:
 }
 `
 	f := ir.MustParse(src)
-	if err := ssa.Verify(f, dom.Build(f)); err == nil {
+	if err := ssa.VerifyIn(f, dom.Build(f), nil); err == nil {
 		t.Fatal("use before def must be rejected")
 	}
 }

@@ -11,20 +11,16 @@ import (
 // seen) and its slot in the def-use numbering (ir.SlotOfInstr).
 type defPoint struct{ block, slot int32 }
 
-// Verify checks strict SSA form: on top of the structural checks of
+// VerifyIn checks strict SSA form: on top of the structural checks of
 // ir.Verify, every variable has at most one definition and every use is
 // dominated by its definition (φ uses by dominance of the corresponding
 // predecessor's exit).
 //
-// It works from per-variable definition points alone. A variable defined
-// twice is reported at the first repeated definition in block order;
-// otherwise the failing use with the smallest (variable, block) is, which
-// is the use a scan of every variable's (block, slot)-sorted use list
-// would hit first.
-func Verify(f *ir.Func, dt *dom.Tree) error { return VerifyIn(f, dt, nil) }
-
-// VerifyIn is Verify with its definition table in sc's memory; nil draws a
-// fresh table.
+// It works from per-variable definition points alone, kept in a table in
+// sc's memory; nil draws a fresh table. A variable defined twice is
+// reported at the first repeated definition in block order; otherwise the
+// failing use with the smallest (variable, block) is, which is the use a
+// scan of every variable's (block, slot)-sorted use list would hit first.
 func VerifyIn(f *ir.Func, dt *dom.Tree, sc *Scratch) error {
 	if err := ir.Verify(f); err != nil {
 		return err

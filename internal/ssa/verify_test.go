@@ -11,15 +11,15 @@ import (
 	"repro/internal/ssa"
 )
 
-// verifyOrPanic runs ssa.Verify and turns a panic into a test failure
+// verifyOrPanic runs ssa.VerifyIn and turns a panic into a test failure
 // message, so a malformed input that crashes the verifier is reported as
 // such instead of taking the whole test binary down.
 func verifyOrPanic(f *ir.Func) (panicked any, err error) {
 	defer func() { panicked = recover() }()
-	return nil, ssa.Verify(f, dom.Build(f))
+	return nil, ssa.VerifyIn(f, dom.Build(f), nil)
 }
 
-// TestVerifyRejections lists one input per reason ssa.Verify rejects a
+// TestVerifyRejections lists one input per reason ssa.VerifyIn rejects a
 // function and the exact message it reports.
 func TestVerifyRejections(t *testing.T) {
 	for _, tc := range []struct {
@@ -100,10 +100,10 @@ j:
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := verifyOrPanic(ir.MustParse(tc.src))
 			if p != nil {
-				t.Fatalf("Verify panicked: %v", p)
+				t.Fatalf("VerifyIn panicked: %v", p)
 			}
 			if err == nil || err.Error() != tc.want {
-				t.Fatalf("Verify = %v, want %q", err, tc.want)
+				t.Fatalf("VerifyIn = %v, want %q", err, tc.want)
 			}
 		})
 	}
@@ -139,7 +139,7 @@ x:
 			tc.corrupt(f, f.Blocks[1].Phis[0])
 			p, err := verifyOrPanic(f)
 			if p != nil {
-				t.Fatalf("Verify panicked: %v", p)
+				t.Fatalf("VerifyIn panicked: %v", p)
 			}
 			if err == nil {
 				t.Fatal("malformed φ accepted")
@@ -149,9 +149,9 @@ x:
 	}
 }
 
-// verifyWithIndex is Verify as it stood when it built a def-use index and
+// verifyWithIndex is VerifyIn as it stood when it built a def-use index and
 // scanned every variable's (block, slot)-sorted use list: the oracle for
-// which error Verify reports.
+// which error VerifyIn reports.
 func verifyWithIndex(f *ir.Func, dt *dom.Tree) (err error) {
 	if err := ir.Verify(f); err != nil {
 		return err
@@ -191,7 +191,7 @@ func verifyWithIndex(f *ir.Func, dt *dom.Tree) (err error) {
 
 // TestVerifyMatchesIndexedVerify corrupts generated SSA functions at random
 // — operands renamed, definitions duplicated, instructions swapped within
-// a block or moved to another — and requires Verify to return exactly the
+// a block or moved to another — and requires VerifyIn to return exactly the
 // error the index-based verifier returns.
 func TestVerifyMatchesIndexedVerify(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -204,9 +204,9 @@ func TestVerifyMatchesIndexedVerify(t *testing.T) {
 				corrupt(rng, f)
 			}
 			dt := dom.Build(f)
-			got, want := ssa.Verify(f, dt), verifyWithIndex(f, dt)
+			got, want := ssa.VerifyIn(f, dt, nil), verifyWithIndex(f, dt)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s: Verify = %v, indexed verifier = %v\n%s", f.Name, got, want, f)
+				t.Fatalf("%s: VerifyIn = %v, indexed verifier = %v\n%s", f.Name, got, want, f)
 			}
 			if got != nil {
 				rejected++

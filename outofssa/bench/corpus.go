@@ -101,8 +101,7 @@ func CoalesceCorpus(scale float64) []CoalesceCase {
 			if err != nil {
 				panic("bench: " + f.Name + ": " + err.Error())
 			}
-			affs := append([]sreedhar.Affinity(nil), ins.Affinities...)
-			affs = append(affs, sreedhar.CollectRealCopies(f, ins)...)
+			affs := sreedhar.CollectRealCopiesInto(f, ins, append([]sreedhar.Affinity(nil), ins.Affinities...))
 			out = append(out, CoalesceCase{
 				Name: f.Name, Blocks: len(f.Blocks), Vars: len(f.Vars),
 				Phis: countPhis(f), Affinities: len(affs),
@@ -140,7 +139,7 @@ func (c *CoalesceCase) NewChecker(useLiveCheck bool) *interference.Checker {
 // with the Value variant and the linear machinery: fresh congruence
 // classes, forced φ-node merges, then the affinity loop.
 func (c *CoalesceCase) RunCoalesce(chk *interference.Checker) *coalesce.Result {
-	classes := congruence.New(chk)
+	classes := congruence.NewIn(chk, nil)
 	for _, node := range c.ins.PhiNodes {
 		classes.MergeSingletons(node)
 	}

@@ -33,15 +33,10 @@ func fig5Options(s core.Strategy) core.Options {
 	return core.Options{Strategy: s, Linear: true, LiveCheck: true}
 }
 
-// Fig5 reproduces Figure 5: the impact of interference accuracy and
-// coalescing strategy on the number of remaining moves.
-func Fig5(suite []Benchmark) []Fig5Row {
-	return Fig5For(suite, core.Strategies)
-}
-
-// Fig5For is Fig5 restricted to the given strategies. The Intersect
-// strategy is the paper's normalization baseline, so it is computed (and
-// reported first) even when absent from the request.
+// Fig5For reproduces Figure 5 for the given strategies: the impact of
+// interference accuracy and coalescing strategy on the number of remaining
+// moves. The Intersect strategy is the paper's normalization baseline, so
+// it is computed (and reported first) even when absent from the request.
 func Fig5For(suite []Benchmark, strategies []core.Strategy) []Fig5Row {
 	if len(strategies) == 0 || strategies[0] != core.Intersect {
 		withBase := append([]core.Strategy{core.Intersect}, strategies...)

@@ -11,7 +11,7 @@ import (
 // paper's qualitative ordering.
 func TestFig5Shape(t *testing.T) {
 	suite := Suite(0.25)
-	rows := Fig5(suite)
+	rows := Fig5For(suite, core.Strategies)
 	if len(rows) != len(core.Strategies) {
 		t.Fatalf("rows = %d", len(rows))
 	}

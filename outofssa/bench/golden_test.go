@@ -47,7 +47,7 @@ func goldenCounts(t *testing.T) []string {
 	var rows []string
 	for _, c := range TranslateCorpus(0.05) {
 		for _, s := range core.Strategies {
-			st, err := core.Translate(ir.Clone(c.Func()), fig5Options(s))
+			st, err := core.TranslateInto(ir.Clone(c.Func()), fig5Options(s), nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", c.Name, s, err)
 			}
@@ -72,7 +72,7 @@ func goldenCounts(t *testing.T) []string {
 	}
 	suite := Suite(1)
 	names := Names(suite)
-	for _, r := range Fig5(suite) {
+	for _, r := range Fig5For(suite, core.Strategies) {
 		for i, n := range names {
 			rows = append(rows, fmt.Sprintf("%s remaining=%d", rowKey("fig5", n, r.Strategy.String()), r.Counts[i]))
 		}

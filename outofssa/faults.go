@@ -14,27 +14,5 @@ import "repro/internal/faults"
 // unregistered failpoint is an error.
 func EnableFaults(spec string, seed int64) error { return faults.Enable(spec, seed) }
 
-// DisableFaults disarms every failpoint.
-func DisableFaults() { faults.Disable() }
-
 // FaultPoints lists every registered failpoint name, sorted.
 func FaultPoints() []string { return faults.Names() }
-
-// FaultStats is one failpoint's record since the schedule was enabled.
-type FaultStats struct {
-	// Evals counts evaluations that reached an armed schedule clause.
-	Evals int64
-	// Fires counts faults actually delivered.
-	Fires int64
-}
-
-// FaultSnapshot reports per-point evaluation and firing counts for the
-// active (or most recently active) schedule.
-func FaultSnapshot() map[string]FaultStats {
-	snap := faults.Snapshot()
-	out := make(map[string]FaultStats, len(snap))
-	for name, st := range snap {
-		out[name] = FaultStats{Evals: st.Evals, Fires: st.Fires}
-	}
-	return out
-}

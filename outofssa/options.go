@@ -130,12 +130,18 @@ func WithWorkers(n int) Option {
 	}
 }
 
+// maxRegisters bounds WithRegisters' k: far above any register file, and
+// low enough that a k from an untrusted request cannot make the pool and
+// the allocator's per-register map take much memory.
+const maxRegisters = 1024
+
 // WithRegisters enables the register-allocation stage with a pool of k
-// general-purpose registers named r0..r(k-1). k == 0 disables the stage.
+// general-purpose registers named r0..r(k-1). k == 0 disables the stage;
+// k must lie in [0, 1024].
 func WithRegisters(k int) Option {
 	return func(t *Translator) error {
-		if k < 0 {
-			return fmt.Errorf("outofssa: negative register count %d", k)
+		if k < 0 || k > maxRegisters {
+			return fmt.Errorf("outofssa: register count %d out of range [0, %d]", k, maxRegisters)
 		}
 		t.pool = nil
 		for i := 0; i < k; i++ {

@@ -65,10 +65,6 @@ func New(opts ...Option) (*Translator, error) {
 	return t, nil
 }
 
-// Config returns the machinery configuration the Translator runs with,
-// after option normalization.
-func (t *Translator) Config() Options { return t.opt }
-
 // pipeline assembles the pass pipeline the Translator runs: optional SSA
 // verification, the four out-of-SSA phases, and optional register
 // allocation.

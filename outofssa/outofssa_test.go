@@ -359,24 +359,27 @@ func TestOptionValidation(t *testing.T) {
 	})); err == nil {
 		t.Fatal("UseGraph+LiveCheck must be rejected")
 	}
-	// WithStrategy(SreedharIII) normalizes to a usable configuration.
-	tr, err := outofssa.New(outofssa.WithStrategy(outofssa.SreedharIII))
-	if err != nil {
+	// WithStrategy(SreedharIII) normalizes to a usable configuration: New
+	// validates, and validation rejects SreedharIII without Virtualize.
+	if _, err := outofssa.New(outofssa.WithStrategy(outofssa.SreedharIII)); err != nil {
 		t.Fatal(err)
 	}
-	if cfg := tr.Config(); !cfg.Virtualize {
-		t.Fatalf("SreedharIII did not imply virtualization: %+v", cfg)
-	}
-	// Functional options are last-wins and keep the combination legal.
-	tr, err = outofssa.New(
+	// Functional options are last-wins and keep the combination legal: New
+	// succeeds only if the graph option turned fast liveness off, and the
+	// translation then builds the interference graph.
+	tr, err := outofssa.New(
 		outofssa.WithFastLiveness(true),
 		outofssa.WithInterferenceGraph(true),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := tr.Config(); !cfg.UseGraph || cfg.LiveCheck {
-		t.Fatalf("graph option did not displace fast liveness: %+v", cfg)
+	res, err := tr.Translate(context.Background(), outofssa.MustParse(quickstartSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.GraphBytes == 0 {
+		t.Fatalf("graph option built no interference graph: %+v", res.Stats)
 	}
 	// New validates rather than repairs: explicitly conflicting options
 	// are rejected, and a later option overrides a strategy implication.
@@ -393,6 +396,15 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := outofssa.New(outofssa.WithRegisters(-1)); err == nil {
 		t.Fatal("negative register count must be rejected")
+	}
+	// The register count is bounded at 1,024, so a count from an untrusted
+	// request cannot size the pool: the bound is accepted, one more is
+	// refused naming the bound.
+	if _, err := outofssa.New(outofssa.WithRegisters(1024)); err != nil {
+		t.Fatalf("1024 registers: %v", err)
+	}
+	if _, err := outofssa.New(outofssa.WithRegisters(1025)); err == nil || !strings.Contains(err.Error(), "1024") {
+		t.Fatalf("1025 registers: %v, want an error naming the bound 1024", err)
 	}
 	if _, err := outofssa.New(outofssa.WithStrategy(outofssa.Strategy(99))); err == nil {
 		t.Fatal("out-of-range strategy must be rejected")

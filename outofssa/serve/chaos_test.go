@@ -29,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/outofssa"
 	"repro/outofssa/serve"
 	"repro/outofssa/serve/client"
@@ -162,7 +163,7 @@ func TestChaos(t *testing.T) {
 	if err := outofssa.EnableFaults(chaosSchedule, 20260808); err != nil {
 		t.Fatal(err)
 	}
-	defer outofssa.DisableFaults()
+	defer faults.Disable()
 
 	var out outcomes
 	stop := make(chan struct{})
@@ -226,7 +227,7 @@ func TestChaos(t *testing.T) {
 		_, _ = cl.Stats(sctx)
 		scancel()
 	}
-	outofssa.DisableFaults()
+	faults.Disable()
 
 	st := quiesce(t, cl)
 	assertBooksBalance(t, st)
@@ -249,7 +250,7 @@ func TestChaos(t *testing.T) {
 
 	// Every armed layer must have delivered faults, or the run proved
 	// nothing about that layer.
-	snap := outofssa.FaultSnapshot()
+	snap := faults.Snapshot()
 	for _, point := range []string{
 		"parse.func", "pipeline.pass", "pipeline.outofssa",
 		"memo.store", "memo.materialize",
@@ -323,7 +324,7 @@ func TestAdmissionBooksUnderDisconnectAndFaults(t *testing.T) {
 	if err := outofssa.EnableFaults("serve.translate=panic:every=5,serve.encode=err:every=7", 7); err != nil {
 		t.Fatal(err)
 	}
-	defer outofssa.DisableFaults()
+	defer faults.Disable()
 
 	var wg sync.WaitGroup
 	for worker := 0; worker < 6; worker++ {
@@ -348,7 +349,7 @@ func TestAdmissionBooksUnderDisconnectAndFaults(t *testing.T) {
 		}(worker)
 	}
 	wg.Wait()
-	outofssa.DisableFaults()
+	faults.Disable()
 
 	st := quiesce(t, cl)
 	assertBooksBalance(t, st)

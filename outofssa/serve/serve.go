@@ -170,9 +170,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // work.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // AdminHandler returns the opt-in admin surface: /debug/pprof/* and a
 // duplicate /v1/stats. The daemon binds it to a separate (typically
 // loopback-only) port so profiling is never exposed on the serving
@@ -510,7 +507,12 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) (TranslateReque
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, req TranslateRequest) (context.Context, context.CancelFunc, bool) {
 	d := s.cfg.DefaultTimeout
 	if req.TimeoutMillis > 0 {
-		d = time.Duration(req.TimeoutMillis) * time.Millisecond
+		// Compare in milliseconds first: a large request converted to a
+		// Duration would overflow into a deadline already past.
+		d = s.cfg.MaxTimeout
+		if req.TimeoutMillis < s.cfg.MaxTimeout.Milliseconds() {
+			d = time.Duration(req.TimeoutMillis) * time.Millisecond
+		}
 	}
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout

@@ -157,6 +157,36 @@ func TestTranslateRejections(t *testing.T) {
 	}
 }
 
+// TestRequestBounds: on both endpoints, a register count one above the
+// façade's bound of 1,024 is refused with a 400 that names the bound, and
+// a timeout_ms too large to convert to a Duration is clamped to
+// MaxTimeout instead of overflowing into a deadline already past.
+func TestRequestBounds(t *testing.T) {
+	ts, _ := startServer(t, serve.Config{})
+	src := corpus(t, 1, 0)
+	post := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	for _, path := range []string{"/v1/translate", "/v1/batch"} {
+		if code, body := post(ts.URL + path + "?registers=1025"); code != http.StatusBadRequest || !strings.Contains(body, "1024") {
+			t.Errorf("%s?registers=1025: status %d, want a 400 naming the bound: %s", path, code, body)
+		}
+		for _, ms := range []string{"10000000000000", "9223372036854775807"} {
+			code, body := post(ts.URL + path + "?timeout_ms=" + ms)
+			if code != http.StatusOK || !strings.Contains(body, `"output"`) || strings.Contains(body, "deadline") {
+				t.Errorf("%s?timeout_ms=%s: status %d, want a translation: %s", path, ms, code, body)
+			}
+		}
+	}
+}
+
 func TestBatchStreamsItemsAndSummary(t *testing.T) {
 	const n = 16
 	_, cl := startServer(t, serve.Config{})

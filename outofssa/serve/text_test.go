@@ -17,6 +17,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/faults"
 	"repro/outofssa"
 	"repro/outofssa/serve"
 	"repro/outofssa/serve/client"
@@ -203,8 +204,8 @@ func TestTextFailpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := cl.Translate(ctx, serve.TranslateRequest{Source: src})
-		fires := outofssa.FaultSnapshot()[c.point].Fires
-		outofssa.DisableFaults()
+		fires := faults.Snapshot()[c.point].Fires
+		faults.Disable()
 		var ae *client.APIError
 		if !errors.As(err, &ae) || ae.StatusCode != c.status || !strings.Contains(ae.Message, c.point) {
 			t.Errorf("%s: want a %d naming the failpoint, got %v", c.point, c.status, err)

@@ -48,7 +48,8 @@ type TranslateRequest struct {
 	Verify       *bool `json:"verify,omitempty"`        // WithVerify (default on)
 
 	// Registers, when positive, enables the register-allocation stage with
-	// a pool of r0..r(n-1) (WithRegisters).
+	// a pool of r0..r(n-1) (WithRegisters, which refuses n outside
+	// [0, 1024]).
 	Registers int `json:"registers,omitempty"`
 	// TimeoutMillis is the per-request deadline; 0 selects the server's
 	// default, and the server clamps any request to its configured
@@ -99,10 +100,7 @@ func (req *TranslateRequest) translator(extra ...outofssa.Option) (*outofssa.Tra
 	if req.Verify != nil {
 		opts = append(opts, outofssa.WithVerify(*req.Verify))
 	}
-	if req.Registers < 0 {
-		return nil, fmt.Errorf("serve: negative register count %d", req.Registers)
-	}
-	if req.Registers > 0 {
+	if req.Registers != 0 {
 		opts = append(opts, outofssa.WithRegisters(req.Registers))
 	}
 	opts = append(opts, extra...)

@@ -67,7 +67,7 @@ func TestRequestQueryRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("query %q rebuilt\n%+v, want\n%+v", want.Query(), got, want)
 	}
-	if _, err := got.translator(); err == nil || err.Error() != "serve: negative register count -3" {
+	if _, err := got.translator(); err == nil || err.Error() != "outofssa: register count -3 out of range [0, 1024]" {
 		t.Fatalf("translator(): %v, want the negative register count refused", err)
 	}
 	if q := (&TranslateRequest{Source: "func f {}"}).Query(); q != "" {
