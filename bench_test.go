@@ -150,7 +150,7 @@ func BenchmarkRunBatch(b *testing.B) {
 					clones[j] = ir.Clone(f)
 				}
 				b.StartTimer()
-				res := pipeline.RunBatch(context.Background(), clones, pl, w)
+				res := pipeline.RunBatch(context.Background(), clones, pl, w, nil)
 				if err := res.Err(); err != nil {
 					b.Fatal(err)
 				}

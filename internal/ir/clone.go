@@ -34,8 +34,8 @@ func CloneInto(dst, src *Func) *Func {
 	// Whole chunks, as growing chunk by chunk would hold: the chunk tails
 	// take the copies and variables a translation of the clone mints.
 	_, instrs, operands := src.listTotals()
-	dst.vars.reserve(len(src.Vars), varChunk)
-	dst.instrs.reserve(instrs, instrChunk)
+	dst.vars.reserve(len(src.Vars), recordChunk)
+	dst.instrs.reserve(instrs, recordChunk)
 	dst.ids.reserve(operands)
 
 	// Variables: value-copy every record into arena storage.

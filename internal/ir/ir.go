@@ -209,8 +209,8 @@ type Func struct {
 	// Chunked arenas backing the function's Instr/Var records and small
 	// operand slices (see slab.go). Their memory lives as long as the
 	// function and is rewound by CloneInto and DecodeBinaryInto.
-	instrs instrArena
-	vars   varArena
+	instrs arena[Instr]
+	vars   arena[Var]
 	ids    idArena
 
 	// spareBlocks recycles Block records detached by CleanupJumpBlocks or

@@ -6,8 +6,8 @@ package ir
 // batch driver's steady state turns every one of those heap allocations
 // into GC pressure. Each Func therefore owns three chunked arenas:
 //
-//   - an Instr arena handing out instruction records,
-//   - a Var arena handing out variable records,
+//   - two record arenas (arena[Instr], arena[Var]) handing out instruction
+//     and variable records,
 //   - a VarID arena handing out small operand slices (exact capacity, so an
 //     append that outgrows one simply reallocates privately and can never
 //     clobber a neighbouring slice).
@@ -20,42 +20,44 @@ package ir
 // arenas must not outlive it or be moved into another Func.
 
 const (
-	instrChunk = 64  // Instr records per arena chunk
-	varChunk   = 64  // Var records per arena chunk
-	idChunk    = 256 // VarID operand slots per arena chunk
+	recordChunk = 64  // Instr or Var records per arena chunk
+	idChunk     = 256 // VarID operand slots per arena chunk
 )
 
-// instrArena hands out Instr records from chunked backing arrays.
-type instrArena struct {
-	chunks [][]Instr
+// arena hands out records (instructions, variables) from chunked backing
+// arrays.
+type arena[T any] struct {
+	chunks [][]T
 	ci     int // chunk cursor
 	n      int // used slots in chunks[ci]
 }
 
-func (a *instrArena) alloc() *Instr {
+// alloc returns a zeroed record.
+func (a *arena[T]) alloc() *T {
 	for a.ci < len(a.chunks) && a.n == len(a.chunks[a.ci]) {
 		a.ci++
 		a.n = 0
 	}
 	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]Instr, instrChunk))
+		a.chunks = append(a.chunks, make([]T, recordChunk))
 	}
-	in := &a.chunks[a.ci][a.n]
+	r := &a.chunks[a.ci][a.n]
 	a.n++
-	*in = Instr{}
-	return in
+	var zero T
+	*r = zero
+	return r
 }
 
 // reset rewinds the arena, keeping the chunks for reuse. Only safe when no
 // previously handed-out record is referenced anymore.
-func (a *instrArena) reset() { a.ci, a.n = 0, 0 }
+func (a *arena[T]) reset() { a.ci, a.n = 0, 0 }
 
 // reserve makes room for n more records with at most one allocation, for
 // a caller that knows its whole need up front (the binary decoder,
 // CloneInto): a chunk of the shortfall rounded up to a multiple of unit.
-func (a *instrArena) reserve(n, unit int) {
+func (a *arena[T]) reserve(n, unit int) {
 	if n -= freeSlots(a.chunks, a.ci, a.n); n > 0 {
-		a.chunks = append(a.chunks, make([]Instr, roundUp(n, unit)))
+		a.chunks = append(a.chunks, make([]T, roundUp(n, unit)))
 	}
 }
 
@@ -69,35 +71,6 @@ func freeSlots[T any](chunks [][]T, ci, n int) int {
 		n -= len(c)
 	}
 	return -n
-}
-
-// varArena hands out Var records from chunked backing arrays.
-type varArena struct {
-	chunks [][]Var
-	ci     int
-	n      int
-}
-
-func (a *varArena) alloc() *Var {
-	for a.ci < len(a.chunks) && a.n == len(a.chunks[a.ci]) {
-		a.ci++
-		a.n = 0
-	}
-	if a.ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]Var, varChunk))
-	}
-	v := &a.chunks[a.ci][a.n]
-	a.n++
-	*v = Var{}
-	return v
-}
-
-func (a *varArena) reset() { a.ci, a.n = 0, 0 }
-
-func (a *varArena) reserve(n, unit int) {
-	if n -= freeSlots(a.chunks, a.ci, a.n); n > 0 {
-		a.chunks = append(a.chunks, make([]Var, roundUp(n, unit)))
-	}
 }
 
 // idArena hands out exact-capacity []VarID slices from chunked backing.

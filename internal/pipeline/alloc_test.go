@@ -31,7 +31,7 @@ func TestVerifySSAAllocs(t *testing.T) {
 			for i, f := range pristine {
 				ir.CloneInto(work[i], f)
 			}
-			if err := RunBatch(context.Background(), work, pl, 1).Err(); err != nil {
+			if err := RunBatch(context.Background(), work, pl, 1, nil).Err(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -62,6 +62,15 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
+// Done reports one completed function of a RunBatch run: its input index,
+// its final context and its error, the values RunBatch also stores at
+// BatchResult.Contexts[Index] and BatchResult.Errs[Index].
+type Done struct {
+	Index   int
+	Context *Context
+	Err     error
+}
+
 // RunBatch pushes every function through its own run of the pipeline on a
 // pool of work-stealing workers, mutating the functions in place.
 // workers <= 0 selects runtime.GOMAXPROCS(0). Every function gets a
@@ -75,30 +84,25 @@ func clampWorkers(workers, n int) int {
 // Cancelling ctx stops the pool: a function already claimed by a worker
 // stops at its next pass boundary with the context's error, and functions
 // never claimed are marked with the context's error and a nil Context.
-func RunBatch(ctx context.Context, funcs []*ir.Func, p *Pipeline, workers int) *BatchResult {
-	return RunBatchFunc(ctx, funcs, p, workers, nil)
-}
-
-// RunBatchFunc is RunBatch with a streaming observer: report, when
-// non-nil, is invoked once per claimed function as it completes, in
-// completion order, with the input index, the per-function context, and
-// its error. Calls are serialized (report needs no locking of its own)
-// but their order depends on scheduling; functions skipped by
-// cancellation are not reported. The calls run on a dedicated drainer
-// goroutine fed by a full-batch buffered channel, so a slow observer
-// back-pressures nothing — workers never serialize on reporting.
-func RunBatchFunc(ctx context.Context, funcs []*ir.Func, p *Pipeline, workers int, report func(int, *Context, error)) *BatchResult {
+//
+// done, when non-nil, streams the completions: the worker that ran a
+// function sends its Done the moment the function's pipeline returns, so
+// the values arrive in completion order, which depends on scheduling.
+// Functions skipped by cancellation are not sent. done must have room for
+// the whole batch — RunBatch panics when cap(done) < len(funcs) — so a
+// worker's send never blocks however slowly the receiver drains it.
+// RunBatch does not close done.
+func RunBatch(ctx context.Context, funcs []*ir.Func, p *Pipeline, workers int, done chan<- Done) *BatchResult {
+	if done != nil && cap(done) < len(funcs) {
+		panic(fmt.Sprintf("pipeline: RunBatch done channel holds %d values, batch has %d functions", cap(done), len(funcs)))
+	}
 	workers = clampWorkers(workers, len(funcs))
 	res := &BatchResult{
 		Contexts: make([]*Context, len(funcs)),
 		Errs:     make([]error, len(funcs)),
 		Workers:  workers,
 	}
-	if workers == 1 {
-		runBatchSeq(ctx, funcs, p, res, report)
-	} else {
-		runBatchStealing(ctx, funcs, p, res, workers, report)
-	}
+	runBatchStealing(ctx, funcs, p, res, workers, done)
 	markSkipped(ctx, res)
 	foldStats(res)
 	return res
@@ -143,33 +147,15 @@ func runIn(ctx context.Context, p *Pipeline, pctx *Context, sc *core.Scratch) er
 	return err
 }
 
-// runBatchSeq is the single-worker fast path: input order, no goroutines,
-// report invoked inline (one worker cannot contend with itself). The
-// scratch comes from the core pool — one Get/Put per batch, not per
-// function — so a long-lived caller (the serve daemon) reuses warm
-// buffers across requests instead of growing a fresh scratch each time.
-func runBatchSeq(ctx context.Context, funcs []*ir.Func, p *Pipeline, res *BatchResult, report func(int, *Context, error)) {
-	sc := core.GetScratch()
-	defer core.PutScratch(sc)
-	for i := range funcs {
-		if ctx.Err() != nil {
-			break
-		}
-		runOne(ctx, p, funcs, res, i, sc)
-		if report != nil {
-			report(i, res.Contexts[i], res.Errs[i])
-		}
-	}
-}
-
-// runBatchStealing is the multicore driver. The input index space is cut
-// into contiguous shards, one per worker — dispatch is O(1) amortized per
+// runBatchStealing is the batch driver. The input index space is cut into
+// contiguous shards, one per worker — dispatch is O(1) amortized per
 // function (slice bookkeeping, no synchronized handoff). A worker drains
-// its own deque from the head; when empty it steals the tail half of the
-// remaining work from the busiest victim, so a straggler shard (one huge
-// CFG near the end of the input) is flattened across the pool instead of
-// idling everyone behind one worker.
-func runBatchStealing(ctx context.Context, funcs []*ir.Func, p *Pipeline, res *BatchResult, workers int, report func(int, *Context, error)) {
+// its own deque from the head, so one worker runs the batch in input
+// order; when empty it steals the tail half of the remaining work from the
+// busiest victim, so a straggler shard (one huge CFG near the end of the
+// input) is flattened across the pool instead of idling everyone behind
+// one worker.
+func runBatchStealing(ctx context.Context, funcs []*ir.Func, p *Pipeline, res *BatchResult, workers int, done chan<- Done) {
 	n := len(funcs)
 	idx := make([]int32, n)
 	for i := range idx {
@@ -182,21 +168,6 @@ func runBatchStealing(ctx context.Context, funcs []*ir.Func, p *Pipeline, res *B
 		// Capacity-clamped: a steal-append on this queue reallocates
 		// privately instead of growing into the next worker's shard.
 		qs[w].seed(idx[lo:hi:hi])
-	}
-
-	// The streaming observer runs on its own drainer goroutine; the
-	// channel holds the whole batch, so a worker's send never blocks.
-	var reports chan int32
-	var drain sync.WaitGroup
-	if report != nil {
-		reports = make(chan int32, n)
-		drain.Add(1)
-		go func() {
-			defer drain.Done()
-			for i := range reports {
-				report(int(i), res.Contexts[i], res.Errs[i])
-			}
-		}()
 	}
 
 	var wg sync.WaitGroup
@@ -237,17 +208,13 @@ func runBatchStealing(ctx context.Context, funcs []*ir.Func, p *Pipeline, res *B
 					}
 				}
 				runOne(ctx, p, funcs, res, i, sc)
-				if reports != nil {
-					reports <- int32(i)
+				if done != nil {
+					done <- Done{i, res.Contexts[i], res.Errs[i]}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if reports != nil {
-		close(reports)
-		drain.Wait()
-	}
 }
 
 // markSkipped marks the functions the driver never claimed with the
@@ -275,14 +242,23 @@ func foldStats(res *BatchResult) {
 	}
 }
 
-// runSafe runs the pipeline on pctx; pass failures and pass panics arrive
-// as *PassError from Apply, and a panic outside any pass is still caught
-// here so one bad function cannot take down a whole batch.
+// runSafe pushes pctx.Func through the pipeline, checking ctx for
+// cancellation before each pass. Pass failures and pass panics arrive as
+// *PassError from Apply, and a panic outside any pass is still caught here
+// so one bad function cannot take down a whole batch.
 func runSafe(ctx context.Context, p *Pipeline, pctx *Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("pipeline: panic: %v", r)
 		}
 	}()
-	return p.RunContext(ctx, pctx)
+	for _, ps := range p.passes {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := Apply(pctx, ps); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -113,7 +113,7 @@ func TestMemoSharedAcrossBatchWorkers(t *testing.T) {
 			for i, f := range corpus {
 				funcs[i] = ir.Clone(f)
 			}
-			res := RunBatch(context.Background(), funcs, p, workers)
+			res := RunBatch(context.Background(), funcs, p, workers, nil)
 			for i, err := range res.Errs {
 				if err != nil {
 					t.Fatalf("workers=%d func %s: %v", workers, corpus[i].Name, err)

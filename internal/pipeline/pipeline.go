@@ -158,17 +158,3 @@ func (p *Pipeline) Run(ctx context.Context, f *ir.Func) (*Context, error) {
 	pctx := NewContext(f)
 	return pctx, runIn(ctx, p, pctx, sc)
 }
-
-// RunContext pushes pctx.Func through the pipeline on an existing
-// per-function context, checking ctx for cancellation before each pass.
-func (p *Pipeline) RunContext(ctx context.Context, pctx *Context) error {
-	for _, ps := range p.passes {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := Apply(pctx, ps); err != nil {
-			return err
-		}
-	}
-	return nil
-}

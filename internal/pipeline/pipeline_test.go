@@ -3,6 +3,9 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analysis"
@@ -83,7 +86,7 @@ func TestRunBatchDeterministic(t *testing.T) {
 		for i, f := range funcs {
 			clones[i] = ir.Clone(f)
 		}
-		res := RunBatch(context.Background(), clones, Translate(opt), workers)
+		res := RunBatch(context.Background(), clones, Translate(opt), workers, nil)
 		if err := res.Err(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -176,7 +179,7 @@ func TestRunBatchPooledLivenessScratch(t *testing.T) {
 			for i, f := range funcs {
 				clones[i] = ir.Clone(f)
 			}
-			res := RunBatch(context.Background(), clones, Translate(opt), workers)
+			res := RunBatch(context.Background(), clones, Translate(opt), workers, nil)
 			if err := res.Err(); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -333,7 +336,7 @@ func TestRunBatchCollectsErrors(t *testing.T) {
 
 	// NewDefUse panics on non-SSA input; the driver must turn that into a
 	// per-function error, not a crash.
-	res := RunBatch(context.Background(), all, Translate(opt), 2)
+	res := RunBatch(context.Background(), all, Translate(opt), 2, nil)
 	if res.Errs[0] != nil || res.Errs[2] != nil {
 		t.Fatalf("healthy functions failed: %v / %v", res.Errs[0], res.Errs[2])
 	}
@@ -364,7 +367,7 @@ func TestRunBatchCancellation(t *testing.T) {
 		},
 	}}, OutOfSSA(core.Options{Strategy: core.Value, Linear: true, LiveCheck: true})...)...)
 
-	res := RunBatch(cctx, funcs, pl, 1)
+	res := RunBatch(cctx, funcs, pl, 1, nil)
 	for i := 0; i < 2; i++ {
 		if res.Errs[i] != nil {
 			t.Fatalf("func %d failed: %v", i, res.Errs[i])
@@ -391,25 +394,90 @@ func TestRunBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestRunBatchStreams: the report callback sees every dispatched function
-// exactly once, index-aligned with the input.
+// TestRunBatchStreams: the done channel carries one Done per claimed
+// function, equal to the function's entries in the BatchResult, at one
+// worker and at four. After a mid-batch cancel it carries exactly the
+// claimed functions (those with a context) and no skipped index.
 func TestRunBatchStreams(t *testing.T) {
-	funcs := workload(t, 13, 12)
 	opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
-	seen := make([]int, len(funcs))
-	res := RunBatchFunc(context.Background(), funcs, Translate(opt), 4, func(i int, pctx *Context, err error) {
-		seen[i]++
-		if err != nil || pctx == nil || pctx.Stats == nil {
-			t.Errorf("func %d reported err=%v ctx=%v", i, err, pctx)
+	for _, workers := range []int{1, 4} {
+		for _, cancelAt := range []int32{0, 5} {
+			funcs := workload(t, 13, 12)
+			cctx, cancel := context.WithCancel(context.Background())
+			var started atomic.Int32
+			pl := New(append([]Pass{{
+				Name: "cancel-at",
+				Run: func(*Context) error {
+					if started.Add(1) == cancelAt {
+						cancel()
+					}
+					return nil
+				},
+			}}, OutOfSSA(opt)...)...)
+			done := make(chan Done, len(funcs))
+			res := RunBatch(cctx, funcs, pl, workers, done)
+			cancel()
+			close(done)
+
+			seen := make([]int, len(funcs))
+			sent := 0
+			for d := range done {
+				sent++
+				seen[d.Index]++
+				if d.Context != res.Contexts[d.Index] || d.Err != res.Errs[d.Index] {
+					t.Fatalf("workers=%d cancelAt=%d func %d: sent (%p, %v), result holds (%p, %v)",
+						workers, cancelAt, d.Index, d.Context, d.Err, res.Contexts[d.Index], res.Errs[d.Index])
+				}
+				if cancelAt == 0 && (d.Err != nil || d.Context.Stats == nil) {
+					t.Fatalf("workers=%d func %d sent err=%v stats=%v", workers, d.Index, d.Err, d.Context.Stats)
+				}
+			}
+			claimed := 0
+			for i, c := range seen {
+				switch {
+				case res.Contexts[i] != nil && c != 1:
+					t.Fatalf("workers=%d cancelAt=%d: claimed func %d sent %d times", workers, cancelAt, i, c)
+				case res.Contexts[i] == nil && c != 0:
+					t.Fatalf("workers=%d cancelAt=%d: skipped func %d sent %d times", workers, cancelAt, i, c)
+				}
+				if res.Contexts[i] != nil {
+					claimed++
+				}
+			}
+			if sent != claimed {
+				t.Fatalf("workers=%d cancelAt=%d: %d values sent for %d claimed functions", workers, cancelAt, sent, claimed)
+			}
+			if cancelAt == 0 && (claimed != len(funcs) || res.Err() != nil) {
+				t.Fatalf("workers=%d: %d of %d claimed, err %v", workers, claimed, len(funcs), res.Err())
+			}
+			if cancelAt != 0 && claimed == len(funcs) {
+				t.Fatalf("workers=%d: cancellation had no effect — every function was claimed", workers)
+			}
 		}
-	})
-	if err := res.Err(); err != nil {
-		t.Fatal(err)
 	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("func %d reported %d times", i, c)
-		}
+}
+
+// TestRunBatchDoneCapacity: a done channel without room for the whole
+// batch is refused with a panic naming both numbers, before any function
+// runs, so no worker can ever block on a send.
+func TestRunBatchDoneCapacity(t *testing.T) {
+	funcs := workload(t, 13, 3)
+	before := funcs[0].String()
+	for _, size := range []int{0, 2} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				want := fmt.Sprintf("holds %d values, batch has 3 functions", size)
+				if !strings.Contains(msg, want) {
+					t.Fatalf("cap %d: panic %q, want one containing %q", size, msg, want)
+				}
+			}()
+			opt := core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}
+			RunBatch(context.Background(), funcs, Translate(opt), 1, make(chan Done, size))
+		}()
+	}
+	if funcs[0].String() != before {
+		t.Fatal("RunBatch translated a function before refusing the done channel")
 	}
 }
 
@@ -426,7 +494,7 @@ func TestPassErrorTyped(t *testing.T) {
 		{Op: ir.OpRet, Uses: []ir.VarID{v}},
 	}
 	opt := core.Options{Strategy: core.Value, Linear: true, LiveCheck: true}
-	res := RunBatch(context.Background(), []*ir.Func{bad}, Translate(opt), 1)
+	res := RunBatch(context.Background(), []*ir.Func{bad}, Translate(opt), 1, nil)
 
 	var pe *PassError
 	if !errors.As(res.Err(), &pe) {

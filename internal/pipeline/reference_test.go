@@ -70,6 +70,12 @@ func RunBatchReference(ctx context.Context, funcs []*ir.Func, p *Pipeline, worke
 	return res
 }
 
+// runBatchNoDone is RunBatch without a done channel, in the signature the
+// driver tables share with RunBatchReference.
+func runBatchNoDone(ctx context.Context, funcs []*ir.Func, p *Pipeline, workers int) *BatchResult {
+	return RunBatch(ctx, funcs, p, workers, nil)
+}
+
 // BenchmarkRunBatchReference runs the work-stealing driver and the
 // reference dispatcher on one generated corpus, so `go test -bench
 // RunBatchReference` puts them side by side.
@@ -82,7 +88,7 @@ func BenchmarkRunBatchReference(b *testing.B) {
 		name string
 		run  func(context.Context, []*ir.Func, *Pipeline, int) *BatchResult
 	}{
-		{"stealing", RunBatch},
+		{"stealing", runBatchNoDone},
 		{"reference", RunBatchReference},
 	}
 	workers := []int{1}

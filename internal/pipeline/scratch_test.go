@@ -47,7 +47,7 @@ func TestRunBatchPooledTranslateScratch(t *testing.T) {
 			for i, f := range funcs {
 				clones[i] = ir.Clone(f)
 			}
-			res := RunBatch(context.Background(), clones, Translate(opt), workers)
+			res := RunBatch(context.Background(), clones, Translate(opt), workers, nil)
 			if err := res.Err(); err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}

@@ -77,7 +77,7 @@ func TestRunBatchStealingMatchesReference(t *testing.T) {
 			for i, f := range funcs {
 				clones[i] = ir.Clone(f)
 			}
-			res := RunBatch(context.Background(), clones, pl, workers)
+			res := RunBatch(context.Background(), clones, pl, workers, nil)
 			if err := res.Err(); err != nil {
 				t.Fatalf("opt %+v workers=%d: %v", opt, workers, err)
 			}
@@ -149,7 +149,7 @@ func TestRunBatchStealingCancellation(t *testing.T) {
 	for i, f := range funcs {
 		clones[i] = ir.Clone(f)
 	}
-	res := RunBatch(cctx, clones, pl, 4)
+	res := RunBatch(cctx, clones, pl, 4, nil)
 
 	var want core.Stats
 	completed, skipped := 0, 0
@@ -203,7 +203,7 @@ func TestRunBatchWorkersDefaultGOMAXPROCS(t *testing.T) {
 		name  string
 		drive func(context.Context, []*ir.Func, *Pipeline, int) *BatchResult
 	}{
-		{"stealing", RunBatch},
+		{"stealing", runBatchNoDone},
 		{"reference", RunBatchReference},
 	} {
 		clones := make([]*ir.Func, len(funcs))

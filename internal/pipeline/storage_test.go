@@ -78,7 +78,7 @@ func TestRunBatchStorageLifetime(t *testing.T) {
 				failing[clones[i]] = true
 			}
 		}
-		res := RunBatch(context.Background(), clones, pl, workers)
+		res := RunBatch(context.Background(), clones, pl, workers, nil)
 		for i, g := range clones {
 			pctx := res.Contexts[i]
 			if failing[g] {
@@ -175,7 +175,7 @@ func TestRunBatchStorageWindow(t *testing.T) {
 				return nil
 			},
 		}, passes[3])
-		res := RunBatch(context.Background(), clones, pl, workers)
+		res := RunBatch(context.Background(), clones, pl, workers, nil)
 		for i, g := range clones {
 			pctx := res.Contexts[i]
 			var pe *PassError

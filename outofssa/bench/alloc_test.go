@@ -58,6 +58,13 @@ type allocRow struct {
 // case on each liveness backend, one liveness computation of each
 // liveness case on each set backend, and one RunBatch over the batch
 // corpus at 1 and 4 workers.
+//
+// The batch rows vary from run to run: a worker whose core.GetScratch
+// misses the pool, or whose steals hand it a larger function than its
+// scratch has seen, regrows buffers, about 475 allocations in that batch
+// and so about 95 on the five-batch average. Their committed counts are
+// therefore a -update measurement plus 95, so that one such batch stays
+// inside the bound; restore that margin after rewriting the table.
 func allocRows(t *testing.T) []allocRow {
 	var rows []allocRow
 	sc := core.NewScratch()
@@ -95,7 +102,7 @@ func allocRows(t *testing.T) []allocRow {
 			for i, f := range corpus {
 				ir.CloneInto(dsts[i], f)
 			}
-			if err := pipeline.RunBatch(context.Background(), dsts, pl, workers).Err(); err != nil {
+			if err := pipeline.RunBatch(context.Background(), dsts, pl, workers, nil).Err(); err != nil {
 				t.Fatal(err)
 			}
 		}})

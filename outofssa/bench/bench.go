@@ -90,7 +90,7 @@ func translateBatch(b Benchmark, opt core.Options) ([]*core.Stats, core.Stats) {
 	for i, f := range b.Funcs {
 		clones[i] = ir.Clone(f)
 	}
-	res := pipeline.RunBatch(context.Background(), clones, pipeline.Translate(opt), Workers)
+	res := pipeline.RunBatch(context.Background(), clones, pipeline.Translate(opt), Workers, nil)
 	if err := res.Err(); err != nil {
 		panic("bench: " + b.Name + ": " + err.Error())
 	}

@@ -210,7 +210,7 @@ func (r *BatchResult) Err() error {
 // batch from dispatching further functions; the skipped ones carry the
 // context's error in their Result.
 func (t *Translator) TranslateAll(ctx context.Context, fns []*Func) (*BatchResult, error) {
-	res := pipeline.RunBatch(ctx, fns, t.pipeline(), t.workers)
+	res := pipeline.RunBatch(ctx, fns, t.pipeline(), t.workers, nil)
 	out := &BatchResult{
 		Results: make([]Result, len(fns)),
 		Stats:   res.Stats,
@@ -232,24 +232,16 @@ func (t *Translator) Stream(ctx context.Context, fns []*Func) iter.Seq2[int, Res
 	return func(yield func(int, Result) bool) {
 		sctx, cancel := context.WithCancel(ctx)
 		defer cancel()
-		type item struct {
-			i int
-			r Result
-		}
-		ch := make(chan item)
-		abandoned := make(chan struct{})
+		// The channel holds the whole batch, so the workers never wait on
+		// the consumer, and an abandoned stream's remaining sends land in
+		// the buffer while the canceled workers wind down.
+		done := make(chan pipeline.Done, len(fns))
 		go func() {
-			defer close(ch)
-			pipeline.RunBatchFunc(sctx, fns, pl, t.workers, func(i int, pctx *pipeline.Context, err error) {
-				select {
-				case ch <- item{i, resultOf(fns[i], pctx, err)}:
-				case <-abandoned:
-				}
-			})
+			defer close(done)
+			pipeline.RunBatch(sctx, fns, pl, t.workers, done)
 		}()
-		defer close(abandoned)
-		for it := range ch {
-			if !yield(it.i, it.r) {
+		for d := range done {
+			if !yield(d.Index, resultOf(fns[d.Index], d.Context, d.Err)) {
 				return
 			}
 		}

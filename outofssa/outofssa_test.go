@@ -179,59 +179,65 @@ func TestTranslateAllCancellation(t *testing.T) {
 }
 
 func TestStreamDeliversAll(t *testing.T) {
-	prof := outofssa.DefaultProfile("stream", 21)
-	prof.Funcs = 12
-	fns := outofssa.Generate(prof)
-	tr, err := outofssa.New(outofssa.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make([]int, len(fns))
-	for i, r := range tr.Stream(context.Background(), fns) {
-		seen[i]++
-		if r.Err != nil || r.Stats == nil || r.Func != fns[i] {
-			t.Fatalf("func %d: bad streamed result %+v", i, r)
+	for _, workers := range []int{1, 4} {
+		prof := outofssa.DefaultProfile("stream", 21)
+		prof.Funcs = 12
+		fns := outofssa.Generate(prof)
+		tr, err := outofssa.New(outofssa.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("func %d yielded %d times", i, c)
+		seen := make([]int, len(fns))
+		for i, r := range tr.Stream(context.Background(), fns) {
+			seen[i]++
+			if r.Err != nil || r.Stats == nil || r.Func != fns[i] {
+				t.Fatalf("workers=%d func %d: bad streamed result %+v", workers, i, r)
+			}
 		}
-	}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("workers=%d func %d yielded %d times", workers, i, c)
+			}
+		}
 
-	// Breaking out early abandons the rest without deadlocking.
-	fns = outofssa.Generate(prof)
-	got := 0
-	for range tr.Stream(context.Background(), fns) {
-		got++
-		break
-	}
-	if got != 1 {
-		t.Fatalf("broke after %d results", got)
+		// Breaking out early abandons the rest without deadlocking.
+		fns = outofssa.Generate(prof)
+		got := 0
+		for range tr.Stream(context.Background(), fns) {
+			got++
+			break
+		}
+		if got != 1 {
+			t.Fatalf("workers=%d: broke after %d results", workers, got)
+		}
 	}
 }
 
 // TestStreamAbandonmentLeaksNoGoroutines pins down the property the serve
 // layer depends on: a client that walks away from a streamed batch (breaks
-// out of the iter.Seq2) must not strand the workers or the drainer. Every
-// abandoned Stream's goroutines — workers mid-function and the report
-// drainer — must exit once the yield stops pulling.
+// out of the iter.Seq2) must not strand the workers. Every abandoned
+// Stream's goroutines — the one running the batch and the workers still
+// mid-function — must exit once the yield stops pulling, at one worker and
+// at four.
 func TestStreamAbandonmentLeaksNoGoroutines(t *testing.T) {
 	prof := outofssa.DefaultProfile("leak", 33)
 	prof.Funcs = 24
-	tr, err := outofssa.New(outofssa.WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := runtime.NumGoroutine()
-	for round := 0; round < 8; round++ {
-		fns := outofssa.Generate(prof)
-		for range tr.Stream(context.Background(), fns) {
-			break // abandon with ~all of the batch unconsumed
+	for _, workers := range []int{1, 4} {
+		tr, err := outofssa.New(outofssa.WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 8; round++ {
+			fns := outofssa.Generate(prof)
+			for range tr.Stream(context.Background(), fns) {
+				break // abandon with ~all of the batch unconsumed
+			}
 		}
 	}
-	// The workers observe abandonment at their next report; give them a
-	// bounded window to unwind rather than asserting instantaneous exit.
+	// The workers observe the cancellation at their next pass boundary;
+	// give them a bounded window to unwind rather than asserting
+	// instantaneous exit.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC() // nudge any parked finalizer-adjacent goroutines
