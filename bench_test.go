@@ -63,7 +63,7 @@ func translateAll(b *testing.B, opt core.Options) {
 		}
 		b.StartTimer()
 		for _, f := range clones {
-			st, err := core.TranslateInto(f, opt, nil, nil)
+			st, err := core.TranslateInto(f, opt, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func BenchmarkFig7(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				measured, ordered, bits = 0, 0, 0
 				for _, f := range fns {
-					st, err := core.TranslateInto(ir.Clone(f), cfg.Opt, nil, nil)
+					st, err := core.TranslateInto(ir.Clone(f), cfg.Opt, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -332,7 +332,7 @@ func BenchmarkTranslate(b *testing.B) {
 				copies = 0
 				for j := range corpus {
 					ir.CloneInto(dsts[j], corpus[j].Func())
-					st, err := core.TranslateInto(dsts[j], s.opt, nil, sc)
+					st, err := core.TranslateInto(dsts[j], s.opt, sc)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -349,7 +349,7 @@ func BenchmarkTranslate(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				copies = 0
 				for j := range corpus {
-					st, err := core.TranslateInto(ir.Clone(corpus[j].Func()), s.opt, nil, core.NewScratch())
+					st, err := core.TranslateInto(ir.Clone(corpus[j].Func()), s.opt, core.NewScratch())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -437,7 +437,7 @@ func BenchmarkAblationPhases(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ins, ana, coa, rew = 0, 0, 0, 0
 				for _, f := range fns {
-					st, err := core.TranslateInto(ir.Clone(f), cfg.Opt, nil, nil)
+					st, err := core.TranslateInto(ir.Clone(f), cfg.Opt, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

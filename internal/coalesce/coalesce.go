@@ -197,8 +197,8 @@ type sortKey struct {
 // The key and order buffers come from sc; the returned slice is owned by
 // the scratch and valid until its next run.
 func sortOrder(sc *Scratch, affs []sreedhar.Affinity, groupPhis bool) []int {
-	keys := growKeys(sc.keys, len(affs))
-	order := growInts(sc.order, len(affs))
+	keys := ir.Resize(sc.keys, len(affs))
+	order := ir.Resize(sc.order, len(affs))
 	sc.keys, sc.order = keys, order
 	for i, a := range affs {
 		g := int32(math.MaxInt32)
@@ -220,20 +220,4 @@ func sortOrder(sc *Scratch, affs []sreedhar.Affinity, groupPhis bool) []int {
 		order[i] = int(keys[i].idx)
 	}
 	return order
-}
-
-// growKeys returns s resized to n, reusing its capacity.
-func growKeys(s []sortKey, n int) []sortKey {
-	if cap(s) < n {
-		return make([]sortKey, n)
-	}
-	return s[:n]
-}
-
-// growInts returns s resized to n, reusing its capacity.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }

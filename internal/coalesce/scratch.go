@@ -25,15 +25,3 @@ type Scratch struct {
 
 // NewScratch returns an empty scratch for explicit reuse across runs.
 func NewScratch() *Scratch { return &Scratch{} }
-
-// i32buf returns s resized to n and zeroed, reusing its capacity.
-func i32buf(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}

@@ -26,8 +26,10 @@ func Share(m *Machinery, affs []sreedhar.Affinity, res *Result) int {
 	// default Sharing strategy builds it without per-value allocations.
 	sc := m.scratch()
 	n := len(m.Chk.F.Vars)
-	count := i32buf(sc.shCount, n)
-	start := i32buf(sc.shStart, n+1)
+	count := ir.Resize(sc.shCount, n)
+	start := ir.Resize(sc.shStart, n+1)
+	clear(count)
+	clear(start)
 	sc.shCount, sc.shStart = count, start
 	defined := 0
 	for v := 0; v < n; v++ {
@@ -40,10 +42,8 @@ func Share(m *Machinery, affs []sreedhar.Affinity, res *Result) int {
 		start[v+1] = start[v] + count[v]
 		count[v] = start[v] // reuse count as the fill cursor
 	}
-	if cap(sc.shFlat) < defined {
-		sc.shFlat = make([]ir.VarID, defined)
-	}
-	flat := sc.shFlat[:defined]
+	flat := ir.Resize(sc.shFlat, defined)
+	sc.shFlat = flat
 	for v := 0; v < n; v++ {
 		if m.Chk.DU.HasDef(ir.VarID(v)) {
 			val := m.Chk.Value(ir.VarID(v))

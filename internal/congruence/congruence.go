@@ -96,11 +96,11 @@ type arrays struct {
 // and makes every variable a singleton class.
 func (a *arrays) reset(vars []*ir.Var) {
 	n := len(vars)
-	a.parent = resize(a.parent, n)
-	a.lists = resize(a.lists, n)
-	a.equalAncIn = resize(a.equalAncIn, n)
-	a.equalAncOut = resize(a.equalAncOut, n)
-	a.reg = resize(a.reg, n)
+	a.parent = ir.Resize(a.parent, n)
+	a.lists = ir.Resize(a.lists, n)
+	a.equalAncIn = ir.Resize(a.equalAncIn, n)
+	a.equalAncOut = ir.Resize(a.equalAncOut, n)
+	a.reg = ir.Resize(a.reg, n)
 	a.touched = a.touched[:0]
 	clear(a.lists)
 	for i, v := range vars {
@@ -109,14 +109,6 @@ func (a *arrays) reset(vars []*ir.Var) {
 		a.equalAncOut[i] = ir.NoVar
 		a.reg[i] = v.Reg
 	}
-}
-
-// resize returns s with length n, reusing its capacity when it suffices.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // Pool recycles the storage of Classes: the per-translation arrays of the

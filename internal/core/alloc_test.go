@@ -50,7 +50,7 @@ func TestTranslateSteadyStateAllocs(t *testing.T) {
 			dst := ir.NewFunc("")
 			run := func() {
 				ir.CloneInto(dst, pristine)
-				if _, err := TranslateInto(dst, cfg.opt, nil, sc); err != nil {
+				if _, err := TranslateInto(dst, cfg.opt, sc); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -66,7 +66,7 @@ func TestTranslateSteadyStateAllocs(t *testing.T) {
 			// that starts from a fresh scratch and a fresh clone.
 			fresh := testing.AllocsPerRun(10, func() {
 				clone := ir.Clone(pristine)
-				if _, err := TranslateInto(clone, cfg.opt, nil, NewScratch()); err != nil {
+				if _, err := TranslateInto(clone, cfg.opt, NewScratch()); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -92,12 +92,12 @@ func TestFreshScratchMatchesPooled(t *testing.T) {
 		}
 		for i, f := range funcs {
 			pooled := ir.Clone(f)
-			stP, err := TranslateInto(pooled, opt, nil, sc)
+			stP, err := TranslateInto(pooled, opt, sc)
 			if err != nil {
 				t.Fatalf("%v func %d pooled: %v", s, i, err)
 			}
 			fresh := ir.Clone(f)
-			stF, err := TranslateInto(fresh, opt, nil, NewScratch())
+			stF, err := TranslateInto(fresh, opt, NewScratch())
 			if err != nil {
 				t.Fatalf("%v func %d fresh: %v", s, i, err)
 			}

@@ -168,31 +168,31 @@ type Stats struct {
 	LiveCheckBytes, LiveCheckEval int
 }
 
+// statsCounters lists the deterministic integer counters of Stats: every
+// field but RemainingWeight and the four phase nanos. Accumulate folds
+// these plus RemainingWeight, and a memo snapshot record carries them in
+// this order (TestMemoSnapshotGolden), so a new counter is a new snapshot
+// version.
+func statsCounters(s *Stats) [19]*int {
+	return [...]*int{
+		&s.Blocks, &s.Vars, &s.Phis, &s.Affinities, &s.RemainingCopies,
+		&s.SharedRemoved, &s.FinalCopies, &s.CycleCopies, &s.SplitEdges,
+		&s.CleanedBlocks, &s.IntersectionTests, &s.MaterializedVars,
+		&s.GraphBytes, &s.GraphEval, &s.LiveSetBytes, &s.LiveSetEval,
+		&s.LiveSetBitEval, &s.LiveCheckBytes, &s.LiveCheckEval,
+	}
+}
+
 // Accumulate adds every deterministic counter of st into dst. The wall-
 // clock fields (InsertNanos …) are per-translation diagnostics and are
 // deliberately excluded, so aggregates over a function set are identical
 // regardless of scheduling — the batch driver relies on this.
 func (dst *Stats) Accumulate(st *Stats) {
-	dst.Blocks += st.Blocks
-	dst.Vars += st.Vars
-	dst.Phis += st.Phis
-	dst.Affinities += st.Affinities
-	dst.RemainingCopies += st.RemainingCopies
+	src := statsCounters(st)
+	for i, p := range statsCounters(dst) {
+		*p += *src[i]
+	}
 	dst.RemainingWeight += st.RemainingWeight
-	dst.SharedRemoved += st.SharedRemoved
-	dst.FinalCopies += st.FinalCopies
-	dst.CycleCopies += st.CycleCopies
-	dst.SplitEdges += st.SplitEdges
-	dst.CleanedBlocks += st.CleanedBlocks
-	dst.IntersectionTests += st.IntersectionTests
-	dst.MaterializedVars += st.MaterializedVars
-	dst.GraphBytes += st.GraphBytes
-	dst.GraphEval += st.GraphEval
-	dst.LiveSetBytes += st.LiveSetBytes
-	dst.LiveSetEval += st.LiveSetEval
-	dst.LiveSetBitEval += st.LiveSetBitEval
-	dst.LiveCheckBytes += st.LiveCheckBytes
-	dst.LiveCheckEval += st.LiveCheckEval
 }
 
 // Translation is an in-flight out-of-SSA translation of one function,
@@ -511,15 +511,14 @@ func (t *Translation) Rewrite() error {
 func (t *Translation) CoalesceResult() *coalesce.Result { return t.res }
 
 // TranslateInto rewrites f, which must be in strict SSA form, into
-// equivalent φ-free standard code, returning the statistics of the run. f
-// is mutated in place. A caller-provided analysis cache an lets the
-// translation share dominance, def-use, and liveness with surrounding
-// passes, and a caller-owned Scratch sc lets a loop of translations reuse
-// one scratch. an may be nil, in which case a private cache is created; sc
-// may be nil, in which case the translation draws one from the package
-// pool for its own duration.
-func TranslateInto(f *ir.Func, opt Options, an *analysis.Cache, sc *Scratch) (*Stats, error) {
-	t, err := NewTranslation(f, opt, an)
+// equivalent φ-free standard code in a private analysis cache, returning
+// the statistics of the run. f is mutated in place. A caller-owned Scratch
+// sc lets a loop of translations reuse one scratch; sc may be nil, in
+// which case the translation draws one from the package pool for its own
+// duration. A caller that shares analyses with surrounding passes runs
+// the phases through NewTranslation, as the pipeline does.
+func TranslateInto(f *ir.Func, opt Options, sc *Scratch) (*Stats, error) {
+	t, err := NewTranslation(f, opt, nil)
 	if err != nil {
 		return nil, err
 	}

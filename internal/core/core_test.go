@@ -62,7 +62,7 @@ func runEquiv(t *testing.T, src string, opt Options, inputs [][]int64) *Stats {
 	t.Helper()
 	orig := ir.MustParse(src)
 	f := ir.MustParse(src)
-	st, err := TranslateInto(f, opt, nil, nil)
+	st, err := TranslateInto(f, opt, nil)
 	if err != nil {
 		t.Fatalf("%s: translate: %v\n%s", optName(opt), err, src)
 	}
@@ -263,7 +263,7 @@ func TestGeneratedEquivalenceDeep(t *testing.T) {
 func TestTranslatedHasNoPhis(t *testing.T) {
 	funcs := cfggen.Generate(cfggen.DefaultProfile("nophi", 7))
 	for _, f := range funcs {
-		if _, err := TranslateInto(f, Options{Strategy: Value, Linear: true, LiveCheck: true}, nil, nil); err != nil {
+		if _, err := TranslateInto(f, Options{Strategy: Value, Linear: true, LiveCheck: true}, nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range f.Blocks {
@@ -303,7 +303,7 @@ func TestOrderedSetsAndCriticalSplitOptions(t *testing.T) {
 // stay as OpParCopy instructions.
 func TestKeepParallelCopies(t *testing.T) {
 	f := ir.MustParse(swapSrc)
-	st, err := TranslateInto(f, Options{Strategy: Value, Linear: true, LiveCheck: true, KeepParallelCopies: true}, nil, nil)
+	st, err := TranslateInto(f, Options{Strategy: Value, Linear: true, LiveCheck: true, KeepParallelCopies: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestStatsConsistency(t *testing.T) {
 	for _, f := range cfggen.Generate(prof) {
 		for _, s := range []Strategy{Intersect, Value, Sharing} {
 			g := ir.Clone(f)
-			st, err := TranslateInto(g, Options{Strategy: s, Linear: true, LiveCheck: true}, nil, nil)
+			st, err := TranslateInto(g, Options{Strategy: s, Linear: true, LiveCheck: true}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,11 +351,11 @@ func TestCriticalSplitNeverHurtsQuality(t *testing.T) {
 	prof.Funcs = 8
 	worse := 0
 	for _, f := range cfggen.Generate(prof) {
-		a, err := TranslateInto(ir.Clone(f), Options{Strategy: Value, Linear: true, LiveCheck: true}, nil, nil)
+		a, err := TranslateInto(ir.Clone(f), Options{Strategy: Value, Linear: true, LiveCheck: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := TranslateInto(ir.Clone(f), Options{Strategy: Value, Linear: true, LiveCheck: true, SplitCriticalEdges: true}, nil, nil)
+		b, err := TranslateInto(ir.Clone(f), Options{Strategy: Value, Linear: true, LiveCheck: true, SplitCriticalEdges: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +384,7 @@ entry:
 `
 	f := ir.MustParse(src)
 	before := f.String()
-	st, err := TranslateInto(f, Options{Strategy: Sharing, Linear: true, LiveCheck: true}, nil, nil)
+	st, err := TranslateInto(f, Options{Strategy: Sharing, Linear: true, LiveCheck: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,10 +407,10 @@ func TestTranslateDeterminism(t *testing.T) {
 			{Strategy: SreedharIII, Virtualize: true, UseGraph: true},
 		} {
 			a, b := ir.Clone(f), ir.Clone(f)
-			if _, err := TranslateInto(a, opt, nil, nil); err != nil {
+			if _, err := TranslateInto(a, opt, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := TranslateInto(b, opt, nil, nil); err != nil {
+			if _, err := TranslateInto(b, opt, nil); err != nil {
 				t.Fatal(err)
 			}
 			if a.String() != b.String() {

@@ -203,9 +203,9 @@ func (m *Memo) install(e *MemoEntry) {
 // into f's own records and arenas, preserving f's name and the identities
 // (name, register pin, derivation base) of the original variable-universe
 // prefix, and returns a private copy of the stored statistics (phase nanos
-// zero: no phases ran). varBuf is optional reusable scratch for the
-// identity snapshot; the possibly-grown buffer is returned for the caller
-// to keep.
+// zero: no phases ran). The identities are snapshotted in sc, so memo hits
+// on a batch worker stay allocation-free in steady state; a nil sc draws
+// one from the package pool for the call.
 //
 // The memo only holds encodings it made itself or loaded after a strict
 // decode and ir.Verify, so one that fails to decode can only come from a
@@ -220,24 +220,26 @@ func (m *Memo) install(e *MemoEntry) {
 // input minted during translation (and block names) come from the
 // first-stored input. Comparisons (Equivalent, statuses, metrics) are
 // name-insensitive.
-func (e *MemoEntry) Materialize(f *ir.Func, varBuf []ir.Var) (*Stats, []ir.Var) {
-	if cap(varBuf) < e.inVars {
-		varBuf = make([]ir.Var, e.inVars)
+func (e *MemoEntry) Materialize(f *ir.Func, sc *Scratch) *Stats {
+	if sc == nil {
+		sc = GetScratch()
+		defer PutScratch(sc)
 	}
-	varBuf = varBuf[:e.inVars]
-	for i := range varBuf {
-		varBuf[i] = *f.Vars[i]
+	vars := ir.Resize(sc.memoVars, e.inVars)
+	sc.memoVars = vars
+	for i := range vars {
+		vars[i] = *f.Vars[i]
 	}
 	name := f.Name
 	if err := ir.DecodeBinaryInto(f, e.out); err != nil {
 		panic(fmt.Sprintf("core: memo entry %+v does not decode: %v", e.key, err))
 	}
 	f.Name = name
-	for i := range varBuf {
-		*f.Vars[i] = varBuf[i]
+	for i := range vars {
+		*f.Vars[i] = vars[i]
 	}
 	st := e.stats
-	return &st, varBuf
+	return &st
 }
 
 // Stats snapshots the memo's counters.

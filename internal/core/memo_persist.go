@@ -85,18 +85,6 @@ func (m *Memo) Snapshot(w io.Writer) error {
 	return nil
 }
 
-// statsCounters lists the integer Stats fields a record carries, in record
-// order. RemainingWeight travels separately; the phase nanos do not.
-func statsCounters(s *Stats) [19]*int {
-	return [...]*int{
-		&s.Blocks, &s.Vars, &s.Phis, &s.Affinities, &s.RemainingCopies,
-		&s.SharedRemoved, &s.FinalCopies, &s.CycleCopies, &s.SplitEdges,
-		&s.CleanedBlocks, &s.IntersectionTests, &s.MaterializedVars,
-		&s.GraphBytes, &s.GraphEval, &s.LiveSetBytes, &s.LiveSetEval,
-		&s.LiveSetBitEval, &s.LiveCheckBytes, &s.LiveCheckEval,
-	}
-}
-
 // appendPayload appends the entry's record payload to dst.
 func (e *MemoEntry) appendPayload(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, e.key.FPHi)

@@ -107,7 +107,7 @@ func TestMemoSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("reloaded memo missed on the original key")
 	}
 	g := ir.MustParse(persistSrc)
-	st, _ := e.Materialize(g, nil)
+	st := e.Materialize(g, nil)
 	if st.RemainingCopies != 0 && st.Blocks == 0 {
 		t.Fatalf("materialized stats look empty: %+v", st)
 	}

@@ -32,7 +32,7 @@ join:
 
 func memoTranslate(t *testing.T, f *ir.Func, opt Options) *Stats {
 	t.Helper()
-	st, err := TranslateInto(f, opt, nil, nil)
+	st, err := TranslateInto(f, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestMemoRoundTrip(t *testing.T) {
 	}
 
 	target := ir.Clone(in)
-	got, _ := e.Materialize(target, nil)
+	got := e.Materialize(target, nil)
 	if target.String() != work.String() {
 		t.Fatalf("materialized function differs from the translated one:\n%s\nvs\n%s", target, work)
 	}

@@ -81,7 +81,7 @@ func TestTranslateRejectsInvalidOptions(t *testing.T) {
 	if _, err := NewTranslation(nil, Options{UseGraph: true, LiveCheck: true}, nil); err == nil {
 		t.Fatal("NewTranslation accepted invalid options")
 	}
-	if _, err := TranslateInto(nil, Options{Strategy: SreedharIII}, nil, nil); err == nil {
+	if _, err := TranslateInto(nil, Options{Strategy: SreedharIII}, nil); err == nil {
 		t.Fatal("TranslateInto accepted invalid options")
 	}
 }

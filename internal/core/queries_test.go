@@ -32,7 +32,7 @@ func TestEveryStrategyCountsQueries(t *testing.T) {
 	for _, s := range core.Strategies {
 		total, affs := 0, 0
 		for _, f := range funcs {
-			st, err := core.TranslateInto(ir.Clone(f), strategyOptions(s), nil, nil)
+			st, err := core.TranslateInto(ir.Clone(f), strategyOptions(s), nil)
 			if err != nil {
 				t.Fatalf("%v: %v", s, err)
 			}

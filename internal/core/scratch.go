@@ -23,8 +23,9 @@ import (
 // coalescing phase collects into, the coalescer's sort/virtualizer/sharing
 // buffers, the congruence classes' arrays and member lists, the
 // interference checker's def-point keys, the parallel-copy
-// sequentializer's tables, and the rewrite phase's duplicate-destination
-// stamps. It mirrors liveness.Scratch: a Scratch may be reused across
+// sequentializer's tables, the rewrite phase's duplicate-destination
+// stamps, and a memo hit's snapshot of the input's variable identities. It
+// mirrors liveness.Scratch: a Scratch may be reused across
 // functions of any size (buffers grow and are invalidated per run) but not
 // concurrently.
 //
@@ -59,17 +60,9 @@ type Scratch struct {
 	epoch uint32
 
 	// memoVars snapshots the input's variable identities across a memo
-	// materialization (MemoEntry.Materialize), so memo hits on the batch
-	// hot path stay allocation-free in steady state.
+	// materialization (MemoEntry.Materialize).
 	memoVars []ir.Var
 }
-
-// MemoVarBuf returns the scratch's materialization buffer; the caller must
-// store the possibly-grown buffer back with SetMemoVarBuf.
-func (sc *Scratch) MemoVarBuf() []ir.Var { return sc.memoVars }
-
-// SetMemoVarBuf stores the materialization buffer back after use.
-func (sc *Scratch) SetMemoVarBuf(buf []ir.Var) { sc.memoVars = buf }
 
 // NewScratch returns an empty scratch for explicit reuse across
 // translations.

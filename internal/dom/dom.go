@@ -37,15 +37,6 @@ type Tree struct {
 // index of the next successor (or child) to visit.
 type frame struct{ b, next int }
 
-// resize returns s with length n, reusing its backing array when it is
-// large enough. The contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // Build computes the dominator tree of f. Unreachable blocks have no
 // dominator and are reported by Reachable.
 func Build(f *ir.Func) *Tree {
@@ -62,7 +53,7 @@ func (t *Tree) Rebuild(f *ir.Func) {
 	n := len(f.Blocks)
 	t.f = f
 	t.frontier, t.loopDepth = nil, nil
-	t.idom = resize(t.idom, n)
+	t.idom = ir.Resize(t.idom, n)
 	for i := range t.idom {
 		t.idom[i] = -1
 	}
@@ -103,9 +94,9 @@ func (t *Tree) Rebuild(f *ir.Func) {
 func (t *Tree) link() {
 	n := len(t.f.Blocks)
 	entry := t.f.Entry().ID
-	t.children = resize(t.children, n)
+	t.children = ir.Resize(t.children, n)
 	clear(t.children)
-	t.counts = resize(t.counts, n)
+	t.counts = ir.Resize(t.counts, n)
 	clear(t.counts)
 	total := 0
 	for _, b := range t.rpo {
@@ -115,7 +106,7 @@ func (t *Tree) link() {
 		t.counts[t.idom[b]]++
 		total++
 	}
-	t.flat = resize(t.flat, total)
+	t.flat = ir.Resize(t.flat, total)
 	off := 0
 	for p, c := range t.counts {
 		if c == 0 {
@@ -140,13 +131,13 @@ func (t *Tree) link() {
 func (t *Tree) order() {
 	f := t.f
 	n := len(f.Blocks)
-	t.rpoPos = resize(t.rpoPos, n)
-	t.seen = resize(t.seen, n)
+	t.rpoPos = ir.Resize(t.rpoPos, n)
+	t.seen = ir.Resize(t.seen, n)
 	for i := range t.rpoPos {
 		t.rpoPos[i] = -1
 		t.seen[i] = false
 	}
-	t.rpo = resize(t.rpo, n)[:0]
+	t.rpo = ir.Resize(t.rpo, n)[:0]
 	entry := f.Entry().ID
 	stack := append(t.stack[:0], frame{b: entry})
 	t.seen[entry] = true
@@ -175,8 +166,8 @@ func (t *Tree) order() {
 // number assigns pre/post DFS numbers over the dominator tree.
 func (t *Tree) number() {
 	n := len(t.f.Blocks)
-	t.pre = resize(t.pre, n)
-	t.post = resize(t.post, n)
+	t.pre = ir.Resize(t.pre, n)
+	t.post = ir.Resize(t.post, n)
 	for i := range t.pre {
 		t.pre[i] = -1
 		t.post[i] = -1

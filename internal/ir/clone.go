@@ -39,7 +39,7 @@ func CloneInto(dst, src *Func) *Func {
 	dst.ids.reserve(operands)
 
 	// Variables: value-copy every record into arena storage.
-	dst.Vars = growList(dst.Vars, len(src.Vars))
+	dst.Vars = Resize(dst.Vars, len(src.Vars))
 	for i, v := range src.Vars {
 		nv := dst.vars.alloc()
 		*nv = *v
@@ -61,8 +61,8 @@ func CloneInto(dst, src *Func) *Func {
 
 	// Lists: carve them all, so no list still points into a region of
 	// the arrays that another list receives.
-	dst.edgeStore = growList(dst.edgeStore, edgeCap)
-	dst.codeStore = growList(dst.codeStore, codeCap)
+	dst.edgeStore = Resize(dst.edgeStore, edgeCap)
+	dst.codeStore = Resize(dst.codeStore, codeCap)
 	edges, code := dst.edgeStore, dst.codeStore
 	for i, b := range src.Blocks {
 		nb := dst.Blocks[i]
@@ -100,7 +100,7 @@ func CloneInto(dst, src *Func) *Func {
 // over take spares and then records from one fresh array.
 func (f *Func) placeBlocks(n int) {
 	pool := append(f.spareBlocks, f.Blocks...)
-	f.Blocks = growList(f.Blocks, n)
+	f.Blocks = Resize(f.Blocks, n)
 	clear(f.Blocks)
 	spares := pool[:0]
 	for _, r := range pool {
@@ -138,14 +138,6 @@ func carveList[T any](store *[]T, old []T, n int) []T {
 	s := (*store)[:n:c]
 	*store = (*store)[c:]
 	return s
-}
-
-// growList returns s extended to length n, reusing its capacity.
-func growList[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // listTotals sums the lengths of f's edge lists (Preds and Succs),

@@ -335,7 +335,7 @@ func (d *decoder) function(f *Func) {
 		f.NumParams = int(n)
 	}
 
-	f.Vars = growList(f.Vars, d.count("var", minVarBytes))
+	f.Vars = Resize(f.Vars, d.count("var", minVarBytes))
 	f.vars.reserve(len(f.Vars), 1)
 	for i := range f.Vars {
 		v := f.vars.alloc()
@@ -366,8 +366,8 @@ func (d *decoder) function(f *Func) {
 	for _, r := range f.spareBlocks {
 		r.Preds, r.Succs, r.Phis, r.Instrs = nil, nil, nil, nil
 	}
-	f.edgeStore = growList(f.edgeStore, edges)
-	f.codeStore = growList(f.codeStore, instrs)
+	f.edgeStore = Resize(f.edgeStore, edges)
+	f.codeStore = Resize(f.codeStore, instrs)
 	d.edges, d.instrs = f.edgeStore, f.codeStore
 	for _, b := range f.Blocks {
 		if d.err != nil {

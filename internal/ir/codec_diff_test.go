@@ -27,7 +27,7 @@ func TestBinaryCodecMatchesJSON(t *testing.T) {
 		for _, s := range core.Strategies {
 			g := ir.Clone(f)
 			opt := core.Options{Strategy: s, Virtualize: s == core.SreedharIII, Linear: true, LiveCheck: true}
-			if _, err := core.TranslateInto(g, opt, nil, nil); err != nil {
+			if _, err := core.TranslateInto(g, opt, nil); err != nil {
 				t.Fatalf("%s under %s: %v", f.Name, s, err)
 			}
 			funcs = append(funcs, g)

@@ -58,20 +58,6 @@ func NewDefUse(f *Func) *DefUse {
 	return du
 }
 
-// reuse returns s with length n, reusing its backing array when it is large
-// enough. Elements past n are zeroed first, so a shrunken array keeps
-// nothing of a previous, larger function reachable; the first n elements
-// are unspecified.
-func reuse[T any](s []T, n int) []T {
-	if n < len(s) {
-		clear(s[n:])
-	}
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // Rebuild indexes f in place, reusing du's arrays, so a batch worker
 // indexes every function it translates in the same memory. Like NewDefUse
 // it panics on a second definition, leaving du unusable until the next
@@ -86,11 +72,11 @@ func reuse[T any](s []T, n int) []T {
 func (du *DefUse) Rebuild(f *Func) {
 	n := len(f.Vars)
 	du.f = f
-	du.defBlock = reuse(du.defBlock, n)
-	du.defSlot = reuse(du.defSlot, n)
-	du.defInstr = reuse(du.defInstr, n)
-	du.uses = reuse(du.uses, n)
-	du.counts = reuse(du.counts, n)
+	du.defBlock = Reuse(du.defBlock, n)
+	du.defSlot = Reuse(du.defSlot, n)
+	du.defInstr = Reuse(du.defInstr, n)
+	du.uses = Reuse(du.uses, n)
+	du.counts = Reuse(du.counts, n)
 	for i := range du.defBlock {
 		du.defBlock[i] = -1
 	}
@@ -130,7 +116,7 @@ func (du *DefUse) Rebuild(f *Func) {
 	}
 
 	// Carve per-variable regions out of one backing array.
-	du.backing = reuse(du.backing, total)
+	du.backing = Reuse(du.backing, total)
 	off := 0
 	for v, c := range counts {
 		if c == 0 {

@@ -194,6 +194,44 @@ func TestVerifyRejectsMalformedPhis(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsEntryPhi: a φ in the entry block has no incoming edge
+// to select an argument on the first entry — with no predecessor, or with
+// only a back edge — so Verify refuses it, and with it DecodeBinary.
+func TestVerifyRejectsEntryPhi(t *testing.T) {
+	for name, src := range map[string]string{
+		"no predecessor": `
+func h {
+b0:
+  i = phi
+  print i
+  ret i
+}`,
+		"back edge": `
+func h {
+b0:
+  i = phi b1:j
+  br i b1 b2
+b1:
+  one = const 1
+  j = sub i one
+  jump b0
+b2:
+  ret i
+}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := MustParse(src)
+			const want = "block b0: φ in entry block"
+			if err := Verify(f); err == nil || err.Error() != want {
+				t.Fatalf("Verify = %v, want %q", err, want)
+			}
+			if _, err := DecodeBinary(AppendBinary(nil, f)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("DecodeBinary = %v, want an error containing %q", err, want)
+			}
+		})
+	}
+}
+
 func TestDefUse(t *testing.T) {
 	f := MustParse(sample)
 	du := NewDefUse(f)

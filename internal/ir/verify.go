@@ -4,9 +4,11 @@ import "fmt"
 
 // Verify checks the structural integrity of the CFG: block IDs match
 // indices, edges are symmetric, every reachable block ends in a terminator,
-// every φ has one destination and one argument per predecessor, terminators
-// appear only in final position, operand lists have the arities their
-// opcodes demand, and every operand names a variable of the function.
+// every φ has one destination and one argument per predecessor and sits
+// outside the entry block (entered first along no edge, so a φ there has
+// no argument to select), terminators appear only in final position,
+// operand lists have the arities their opcodes demand, and every operand
+// names a variable of the function.
 func Verify(f *Func) error {
 	for i, b := range f.Blocks {
 		if b.ID != i {
@@ -42,6 +44,9 @@ func Verify(f *Func) error {
 			if err := checkArity(f, b, in); err != nil {
 				return err
 			}
+		}
+		if i == 0 && len(b.Phis) > 0 {
+			return fmt.Errorf("block %s: φ in entry block", b.Name)
 		}
 		for _, in := range b.Phis {
 			if in.Op != OpPhi {

@@ -92,15 +92,6 @@ type Checker struct {
 	tgtOf []int32 // build scratch: loop-target index of each block
 }
 
-// resize returns s with length n, reusing its backing array when it is
-// large enough. The contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // New precomputes the checking structures for f. The def-use index du must
 // describe the current instructions of f.
 func New(f *ir.Func, dt *dom.Tree, du *ir.DefUse) *Checker {
@@ -118,7 +109,7 @@ func (c *Checker) Rebuild(f *ir.Func, dt *dom.Tree, du *ir.DefUse) {
 
 	// Loop targets: the targets of retreating edges, sorted by preorder so
 	// the targets inside one dominance region form a contiguous run.
-	c.tgtOf = resize(c.tgtOf, n)
+	c.tgtOf = ir.Resize(c.tgtOf, n)
 	for i := range c.tgtOf {
 		c.tgtOf[i] = -1
 	}
@@ -134,7 +125,7 @@ func (c *Checker) Rebuild(f *ir.Func, dt *dom.Tree, du *ir.DefUse) {
 	slices.SortFunc(c.tgts, func(a, b int32) int {
 		return int(dt.PreOrder(int(a)) - dt.PreOrder(int(b)))
 	})
-	c.tgtPre = resize(c.tgtPre, len(c.tgts))
+	c.tgtPre = ir.Resize(c.tgtPre, len(c.tgts))
 	for i, t := range c.tgts {
 		c.tgtOf[t] = int32(i)
 		c.tgtPre[i] = dt.PreOrder(int(t))
@@ -142,19 +133,19 @@ func (c *Checker) Rebuild(f *ir.Func, dt *dom.Tree, du *ir.DefUse) {
 
 	c.rw = (n + 63) / 64
 	c.tw = (len(c.tgts) + 63) / 64
-	c.r = resize(c.r, n*c.rw)
-	c.loops = resize(c.loops, n*c.tw)
-	c.reachers = resize(c.reachers, n*c.tw)
+	c.r = ir.Resize(c.r, n*c.rw)
+	c.loops = ir.Resize(c.loops, n*c.tw)
+	c.reachers = ir.Resize(c.reachers, n*c.tw)
 	clear(c.r)
 	clear(c.loops)
 	clear(c.reachers)
-	c.accD = resize(c.accD, n)
+	c.accD = ir.Resize(c.accD, n)
 	for i := range c.accD {
 		c.accD[i] = -1
 	}
-	c.acc = resize(c.acc, n*c.tw)
-	c.allowed = resize(c.allowed, c.tw)
-	c.stack = resize(c.stack, len(c.tgts))
+	c.acc = ir.Resize(c.acc, n*c.tw)
+	c.allowed = ir.Resize(c.allowed, c.tw)
+	c.stack = ir.Resize(c.stack, len(c.tgts))
 
 	// R and Loops in reverse topological order of the reduced graph. The
 	// reverse postorder is a topological order of it: removing the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/ir"
 	"repro/internal/liveness"
 	"repro/internal/regalloc"
 	"repro/internal/ssa"
@@ -21,7 +20,7 @@ func ConstructSSA() Pass {
 		Run: func(ctx *Context) error {
 			dt := ctx.Cache.Dom()
 			live := ctx.Cache.Liveness(liveness.Bitsets)
-			ctx.SSAOrig = ssa.ConstructWith(ctx.Func, dt, live)
+			ssa.ConstructWith(ctx.Func, dt, live)
 			ssa.SortPhisByDef(ctx.Func)
 			return nil
 		},
@@ -80,21 +79,11 @@ func OutOfSSAWithMemo(opt core.Options, memo *core.Memo) []Pass {
 					return err
 				}
 				if memo != nil {
-					ctx.Memo = memo
-					ctx.MemoChecked = true
 					ctx.memoKey = core.MemoKeyFor(ctx.Func, opt)
 					ctx.memoInVars = len(ctx.Func.Vars)
 					if e := memo.Lookup(ctx.memoKey); e != nil {
-						var buf []ir.Var
-						if ctx.Scratch != nil {
-							buf = ctx.Scratch.MemoVarBuf()
-						}
-						st, buf := e.Materialize(ctx.Func, buf)
-						if ctx.Scratch != nil {
-							ctx.Scratch.SetMemoVarBuf(buf)
-						}
+						ctx.Stats = e.Materialize(ctx.Func, ctx.Scratch)
 						ctx.MemoHit = true
-						ctx.Stats = st
 						return nil
 					}
 				}

@@ -75,18 +75,13 @@ type Context struct {
 	// the core package pool for its own duration.
 	Scratch *core.Scratch
 
-	// Memo, when non-nil, is the shared translation memo the out-of-SSA
-	// passes consult (see OutOfSSAWithMemo): the insert pass looks the
-	// input's fingerprint up before mutating anything and, on a hit,
-	// materializes the stored output instead of translating; the rewrite
-	// pass stores fresh results. The store is safe to share across batch
-	// workers and across requests.
-	Memo *core.Memo
-	// MemoChecked and MemoHit report what the memo did for this run: the
-	// lookup happened, and it short-circuited the translation.
-	MemoChecked, MemoHit bool
-	memoKey              core.MemoKey
-	memoInVars           int
+	// MemoHit reports that the insert pass of OutOfSSAWithMemo found the
+	// function in the translation memo and materialized the stored output,
+	// so the remaining out-of-SSA passes did nothing. The memo itself
+	// counts its hits and misses (core.Memo.Stats).
+	MemoHit    bool
+	memoKey    core.MemoKey
+	memoInVars int
 
 	// Translation is the in-flight out-of-SSA translation, created by the
 	// insert pass and consumed by the analyze/coalesce/rewrite passes.
@@ -95,9 +90,6 @@ type Context struct {
 	Stats *core.Stats
 	// Alloc is set by the register-allocation pass.
 	Alloc *regalloc.Result
-	// SSAOrig, set by the SSA-construction pass, maps each SSA variable to
-	// the original variable it versions.
-	SSAOrig []ir.VarID
 }
 
 // NewContext returns a fresh context for f with an empty cache.

@@ -42,7 +42,7 @@ func TestPipelineMatchesTranslate(t *testing.T) {
 	for _, f := range workload(t, 7, 6) {
 		for _, opt := range opts {
 			a, b := ir.Clone(f), ir.Clone(f)
-			want, err := core.TranslateInto(a, opt, nil, nil)
+			want, err := core.TranslateInto(a, opt, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", f.Name, err)
 			}
@@ -74,7 +74,7 @@ func TestRunBatchDeterministic(t *testing.T) {
 	var seqStats core.Stats
 	for i, f := range funcs {
 		seq[i] = ir.Clone(f)
-		st, err := core.TranslateInto(seq[i], opt, nil, nil)
+		st, err := core.TranslateInto(seq[i], opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestRunBatchPooledLivenessScratch(t *testing.T) {
 		seq := make([]*ir.Func, len(funcs))
 		for i, f := range funcs {
 			seq[i] = ir.Clone(f)
-			if _, err := core.TranslateInto(seq[i], opt, nil, nil); err != nil {
+			if _, err := core.TranslateInto(seq[i], opt, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

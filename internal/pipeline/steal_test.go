@@ -55,7 +55,7 @@ func TestRunBatchStealingMatchesReference(t *testing.T) {
 		var seqStats core.Stats
 		for i, f := range funcs {
 			seq[i] = ir.Clone(f)
-			st, err := core.TranslateInto(seq[i], opt, nil, nil)
+			st, err := core.TranslateInto(seq[i], opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestRunBatchStealingCancellation(t *testing.T) {
 	seq := make([]*ir.Func, len(funcs))
 	for i, f := range funcs {
 		seq[i] = ir.Clone(f)
-		if _, err := core.TranslateInto(seq[i], opt, nil, nil); err != nil {
+		if _, err := core.TranslateInto(seq[i], opt, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -151,7 +151,7 @@ func TestRunBatchStorageWindow(t *testing.T) {
 			continue // verification must reject it
 		}
 		g := ir.Clone(f)
-		if _, err := core.TranslateInto(g, opt, nil, core.NewScratch()); err != nil {
+		if _, err := core.TranslateInto(g, opt, core.NewScratch()); err != nil {
 			t.Fatalf("func %d: %v", i, err)
 		}
 		want[i] = g.String()

@@ -18,7 +18,7 @@ func translated(t *testing.T, seed int64, n int) []*ir.Func {
 	p.Funcs = n
 	funcs := cfggen.Generate(p)
 	for _, f := range funcs {
-		if _, err := core.TranslateInto(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}, nil, nil); err != nil {
+		if _, err := core.TranslateInto(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,7 +162,7 @@ func TestApplySemantics(t *testing.T) {
 		p.Funcs = 5
 		for _, orig := range cfggen.Generate(p) {
 			f := ir.Clone(orig)
-			if _, err := core.TranslateInto(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}, nil, nil); err != nil {
+			if _, err := core.TranslateInto(f, core.Options{Strategy: core.Sharing, Linear: true, LiveCheck: true}, nil); err != nil {
 				t.Fatal(err)
 			}
 			res, err := regalloc.AllocateWith(f, pool(16), liveness.Compute(f))

@@ -58,35 +58,13 @@ type Insertion struct {
 // all backing arrays. Call it before InsertCopiesInto or
 // PrepareParallelCopies when recycling an Insertion.
 func (ins *Insertion) Reset(nblocks int) {
-	ins.BeginCopies = resetInstrSlice(ins.BeginCopies, nblocks)
-	ins.EndCopies = resetInstrSlice(ins.EndCopies, nblocks)
+	ins.BeginCopies = ir.Resize(ins.BeginCopies, nblocks)
+	ins.EndCopies = ir.Resize(ins.EndCopies, nblocks)
+	clear(ins.BeginCopies)
+	clear(ins.EndCopies)
 	ins.PhiNodes = ins.PhiNodes[:0]
 	ins.Affinities = ins.Affinities[:0]
 	ins.nodeArena = ins.nodeArena[:0]
-}
-
-// resetInstrSlice returns s resized to n and cleared, reusing its capacity.
-func resetInstrSlice(s []*ir.Instr, n int) []*ir.Instr {
-	if cap(s) < n {
-		return make([]*ir.Instr, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = nil
-	}
-	return s
-}
-
-// resetI32 returns s resized to n and zeroed, reusing its capacity.
-func resetI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }
 
 // InsertCopies applies Method I to f, which must be in SSA form: for every
@@ -169,8 +147,9 @@ func InsertCopiesInto(f *ir.Func, ins *Insertion) error {
 func PrepareParallelCopies(f *ir.Func, ins *Insertion) {
 	// Upper-bound the pair counts: every φ contributes one pair to its
 	// block's begin copy and one to each predecessor's end copy.
-	ins.need = resetI32(ins.need, len(f.Blocks))
+	ins.need = ir.Resize(ins.need, len(f.Blocks))
 	need := ins.need
+	clear(need)
 	for _, b := range f.Blocks {
 		if len(b.Phis) == 0 {
 			continue

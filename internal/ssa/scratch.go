@@ -13,12 +13,3 @@ type Scratch struct {
 	vals  []ir.VarID
 	stack []int
 }
-
-// resize returns s with length n, reusing its backing array when it is
-// large enough. The contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}

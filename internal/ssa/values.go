@@ -23,7 +23,7 @@ func ValuesIn(f *ir.Func, dt *dom.Tree, sc *Scratch) []ir.VarID {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	vals := resize(sc.vals, len(f.Vars))
+	vals := ir.Resize(sc.vals, len(f.Vars))
 	sc.vals = vals
 	for i := range vals {
 		vals[i] = ir.VarID(i)

@@ -28,7 +28,7 @@ func VerifyIn(f *ir.Func, dt *dom.Tree, sc *Scratch) error {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	defs := resize(sc.defs, len(f.Vars))
+	defs := ir.Resize(sc.defs, len(f.Vars))
 	sc.defs = defs
 	for i := range defs {
 		defs[i] = defPoint{block: -1}

@@ -74,7 +74,7 @@ func allocRows(t *testing.T) []allocRow {
 			opt := fig5Options(s)
 			rows = append(rows, allocRow{rowKey("translate", c.Name, s.String()), func() {
 				ir.CloneInto(dst, c.Func())
-				if _, err := core.TranslateInto(dst, opt, nil, sc); err != nil {
+				if _, err := core.TranslateInto(dst, opt, sc); err != nil {
 					t.Fatal(err)
 				}
 			}})

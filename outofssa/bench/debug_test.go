@@ -35,7 +35,7 @@ func TestStrategySpread(t *testing.T) {
 	for _, s := range core.Strategies {
 		f := ir.MustParse(lostCopySrc)
 		opt := fig5Options(s)
-		st, err := core.TranslateInto(f, opt, nil, nil)
+		st, err := core.TranslateInto(f, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestStrategySpread(t *testing.T) {
 		tot, aff, phis := 0, 0, 0
 		for _, b := range suite {
 			for _, f := range b.Funcs {
-				st, err := core.TranslateInto(ir.Clone(f), fig5Options(s), nil, nil)
+				st, err := core.TranslateInto(ir.Clone(f), fig5Options(s), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

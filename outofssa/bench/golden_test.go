@@ -47,7 +47,7 @@ func goldenCounts(t *testing.T) []string {
 	var rows []string
 	for _, c := range TranslateCorpus(0.05) {
 		for _, s := range core.Strategies {
-			st, err := core.TranslateInto(ir.Clone(c.Func()), fig5Options(s), nil, nil)
+			st, err := core.TranslateInto(ir.Clone(c.Func()), fig5Options(s), nil)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", c.Name, s, err)
 			}

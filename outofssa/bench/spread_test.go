@@ -34,7 +34,7 @@ func TestValueBeatsIntersectOnLiveOutArg(t *testing.T) {
 	counts := map[core.Strategy]int{}
 	for _, s := range core.Strategies {
 		f := ir.MustParse(liveOutSrc)
-		st, err := core.TranslateInto(f, fig5Options(s), nil, nil)
+		st, err := core.TranslateInto(f, fig5Options(s), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,12 +42,12 @@ func TestTranslateEnginesAgree(t *testing.T) {
 		for _, s := range core.Strategies {
 			opt := fig5Options(s)
 			ir.CloneInto(dst, c.Func())
-			stP, err := core.TranslateInto(dst, opt, nil, sc)
+			stP, err := core.TranslateInto(dst, opt, sc)
 			if err != nil {
 				t.Fatalf("%s/%v pooled: %v", c.Name, s, err)
 			}
 			fresh := ir.Clone(c.Func())
-			stF, err := core.TranslateInto(fresh, opt, nil, core.NewScratch())
+			stF, err := core.TranslateInto(fresh, opt, core.NewScratch())
 			if err != nil {
 				t.Fatalf("%s/%v fresh: %v", c.Name, s, err)
 			}

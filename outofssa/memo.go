@@ -42,6 +42,14 @@ type MemoStats struct {
 	Bytes   int64
 }
 
+// HitRate returns Hits / (Hits + Misses), or 0 before the first lookup.
+func (s MemoStats) HitRate() float64 {
+	if s.Hits+s.Misses == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
+}
+
 // NewMemo returns a translation memo bounded to maxEntries stored
 // translations and maxBytes, counted as the encoded bytes of the stored
 // translations. Zero selects the defaults (4096 entries, 256 MiB); a

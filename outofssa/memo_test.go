@@ -8,9 +8,10 @@ import (
 )
 
 // TestWithMemo: a shared memo attached through the public façade serves
-// the second batch over the same corpus entirely from the store, with the
-// counters surfaced on Result.Cache and Memo.Stats, and the memoized code
-// behaviourally equivalent to the uncached translation.
+// the second batch over the same corpus entirely from the store, with every
+// warm Result flagged MemoHit, the memo's own counters recording the warm
+// pass as all hits, and the memoized code behaviourally equivalent to the
+// uncached translation.
 func TestWithMemo(t *testing.T) {
 	p := outofssa.DefaultProfile("memopub", 47)
 	p.Funcs = 6
@@ -38,10 +39,15 @@ func TestWithMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	coldStats := m.Stats()
 	warmFns := clone()
 	warm, err := tr.TranslateAll(context.Background(), warmFns)
 	if err != nil {
 		t.Fatal(err)
+	}
+	warmStats := m.Stats()
+	if hits, misses := warmStats.Hits-coldStats.Hits, warmStats.Misses-coldStats.Misses; hits != uint64(len(corpus)) || misses != 0 {
+		t.Fatalf("warm run counted hits=%d misses=%d, want %d and 0", hits, misses, len(corpus))
 	}
 	refFns := clone()
 	ref, err := plain.TranslateAll(context.Background(), refFns)
@@ -54,9 +60,8 @@ func TestWithMemo(t *testing.T) {
 			cold.Stats, warm.Stats, ref.Stats)
 	}
 	for i, r := range warm.Results {
-		if r.Cache.MemoHits != 1 || r.Cache.MemoMisses != 0 {
-			t.Fatalf("%s: warm run counted hits=%d misses=%d",
-				corpus[i].Name, r.Cache.MemoHits, r.Cache.MemoMisses)
+		if !r.MemoHit {
+			t.Fatalf("%s: warm run missed the memo", corpus[i].Name)
 		}
 		for _, params := range [][]int64{{0, 0}, {2, 9}} {
 			a, errA := outofssa.Interpret(warmFns[i], params, 1<<20)

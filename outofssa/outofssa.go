@@ -98,6 +98,10 @@ type Result struct {
 	// cache versus (re)computed. The serve layer aggregates these into its
 	// /v1/stats hit rate.
 	Cache CacheStats
+	// MemoHit reports that the translation was served from the memo
+	// attached with WithMemo, so no analysis ran. The memo counts its own
+	// hits and misses (Memo.Stats).
+	MemoHit bool
 	// Err is the per-function failure: a *PassError for a failing pass,
 	// or the context's error when the batch was canceled before this
 	// function ran. Nil on success.
@@ -105,25 +109,19 @@ type Result struct {
 }
 
 // CacheStats counts analysis-cache requests over one or more translations:
-// Hits were served from the per-function cache, Misses (re)computed.
-// MemoHits/MemoMisses count translation-memo lookups (WithMemo) — a memo
-// hit replaces the whole pipeline, so its run contributes no analysis
-// hits or misses. The zero value is ready to use; Add folds another value
-// in.
+// Hits were served from the per-function cache, Misses (re)computed. A
+// translation-memo hit (Result.MemoHit) replaces the whole pipeline, so its
+// run contributes no analysis hits or misses. The zero value is ready to
+// use; Add folds another value in.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
-	// MemoHits and MemoMisses count translation-memo lookups.
-	MemoHits   uint64
-	MemoMisses uint64
 }
 
 // Add folds st into c.
 func (c *CacheStats) Add(st CacheStats) {
 	c.Hits += st.Hits
 	c.Misses += st.Misses
-	c.MemoHits += st.MemoHits
-	c.MemoMisses += st.MemoMisses
 }
 
 // HitRate returns Hits / (Hits + Misses), or 0 when nothing was requested.
@@ -134,34 +132,19 @@ func (c CacheStats) HitRate() float64 {
 	return float64(c.Hits) / float64(c.Hits+c.Misses)
 }
 
-// MemoHitRate returns MemoHits / (MemoHits + MemoMisses), or 0 when no
-// memo was attached.
-func (c CacheStats) MemoHitRate() float64 {
-	if c.MemoHits+c.MemoMisses == 0 {
-		return 0
-	}
-	return float64(c.MemoHits) / float64(c.MemoHits+c.MemoMisses)
-}
-
 // resultOf folds a pipeline outcome into the public Result shape.
 func resultOf(f *Func, pctx *pipeline.Context, err error) Result {
 	r := Result{Func: f, Err: err}
 	if pctx != nil {
 		r.Stats = pctx.Stats
 		r.Alloc = pctx.Alloc
+		r.MemoHit = pctx.MemoHit
 		if pctx.Cache != nil {
 			for _, h := range pctx.Cache.Hits {
 				r.Cache.Hits += h
 			}
 			for _, m := range pctx.Cache.Misses {
 				r.Cache.Misses += m
-			}
-		}
-		if pctx.MemoChecked {
-			if pctx.MemoHit {
-				r.Cache.MemoHits++
-			} else {
-				r.Cache.MemoMisses++
 			}
 		}
 	}

@@ -34,7 +34,7 @@ func TestTranslateMatchesFreshScratch(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, f := range funcs {
 			want := ir.Clone(f)
-			wantSt, err := core.TranslateInto(want, tr.opt, nil, core.NewScratch())
+			wantSt, err := core.TranslateInto(want, tr.opt, core.NewScratch())
 			if err != nil {
 				t.Fatalf("func %d: %v", i, err)
 			}

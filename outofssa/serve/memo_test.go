@@ -2,10 +2,14 @@ package serve_test
 
 import (
 	"context"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/outofssa"
 	"repro/outofssa/serve"
+	"repro/outofssa/serve/client"
 )
 
 // TestServerMemoHit: repeating a request against the server's built-in
@@ -63,6 +67,60 @@ func TestServerMemoHit(t *testing.T) {
 	}
 	if want := 1.0 / 3.0; st.Memo.HitRate != want {
 		t.Fatalf("memo hit rate %v, want %v", st.Memo.HitRate, want)
+	}
+}
+
+// TestServerMemoStatsAreTheMemos: the memo is the one counter of its
+// lookups. With every third lookup that finds an entry turned into a miss
+// by the memo.materialize failpoint, the memo's hits equal the translate
+// answers flagged memo_hit, and after a batch of duplicates the /v1/stats
+// memo section equals the memo's own counters.
+func TestServerMemoStatsAreTheMemos(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL, ts.Client())
+	ctx := context.Background()
+	src := corpus(t, 1, 0)
+	if err := outofssa.EnableFaults("memo.materialize=err:every=3", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Disable()
+
+	const repeats = 7
+	flagged := 0
+	for range repeats {
+		resp, err := cl.Translate(ctx, serve.TranslateRequest{Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.MemoHit {
+			flagged++
+		}
+	}
+	ms := srv.Memo().Stats()
+	if ms.Hits != uint64(flagged) || ms.Hits+ms.Misses != repeats {
+		t.Fatalf("memo counted %d hits and %d misses for %d requests, %d answers flagged memo_hit",
+			ms.Hits, ms.Misses, repeats, flagged)
+	}
+	if ms.Misses < 2 {
+		t.Fatalf("the failpoint turned no lookup into a miss: %+v", ms)
+	}
+
+	if _, err := cl.Batch(ctx, serve.TranslateRequest{Source: strings.Repeat(src, 5), Quiet: true},
+		func(serve.BatchItem) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms = srv.Memo().Stats()
+	if st.Memo == nil || st.Memo.Hits != ms.Hits || st.Memo.Misses != ms.Misses || st.Memo.HitRate != ms.HitRate() {
+		t.Fatalf("/v1/stats memo section %+v, memo counters %+v", st.Memo, ms)
+	}
+	if ms.Hits+ms.Misses != repeats+5 {
+		t.Fatalf("memo counted %d lookups, want %d", ms.Hits+ms.Misses, repeats+5)
 	}
 }
 

@@ -308,7 +308,7 @@ func (s *Server) handleTranslate(w http.ResponseWriter, r *http.Request) {
 		CleanedBlocks: res.Stats.CleanedBlocks,
 		CacheHits:     res.Cache.Hits,
 		CacheMisses:   res.Cache.Misses,
-		MemoHit:       res.Cache.MemoHits > 0,
+		MemoHit:       res.MemoHit,
 		ElapsedMicros: float64(time.Since(start).Nanoseconds()) / 1e3,
 	}
 	if res.Alloc != nil {

@@ -157,6 +157,22 @@ func TestTranslateRejections(t *testing.T) {
 	}
 }
 
+// TestTranslateRejectsEntryPhi: a φ in the entry block reads no value on
+// the first entry, so the verify-ssa pass refuses the function and the
+// server answers 422 with the pass's message instead of translating it.
+func TestTranslateRejectsEntryPhi(t *testing.T) {
+	_, cl := startServer(t, serve.Config{})
+	src := "func h {\nb0:\n  i = phi\n  print i\n  ret i\n}\n"
+	_, err := cl.Translate(context.Background(), serve.TranslateRequest{Source: src})
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("want status %d, got %v", http.StatusUnprocessableEntity, err)
+	}
+	if want := "pass verify-ssa: block b0: φ in entry block"; !strings.Contains(ae.Message, want) {
+		t.Fatalf("message %q does not contain %q", ae.Message, want)
+	}
+}
+
 // TestRequestBounds: on both endpoints, a register count one above the
 // façade's bound of 1,024 is refused with a 400 that names the bound, and
 // a timeout_ms too large to convert to a Duration is clamped to

@@ -127,8 +127,7 @@ type StatsResponse struct {
 		HitRate float64 `json:"hit_rate"`
 	} `json:"cache"`
 
-	// Memo is the server-wide translation memo: lookups folded from every
-	// translated function, plus the live store's retained size. Omitted when
+	// Memo is the server-wide translation memo's own counters. Omitted when
 	// the server was configured with memoization disabled.
 	Memo *MemoSection `json:"memo,omitempty"`
 
@@ -145,10 +144,9 @@ type StatsResponse struct {
 	} `json:"latency"`
 }
 
-// MemoSection is the translation-memo block of StatsResponse. Hits, Misses
-// and HitRate are folded from per-function results (the same view a client
-// assembles from memo_hit flags); Entries, Bytes and Evictions come from
-// the live store.
+// MemoSection is the translation-memo block of StatsResponse. Every field
+// comes from one Memo.Stats snapshot taken at scrape time — the memo counts
+// its own lookups — and HitRate is MemoStats.HitRate.
 type MemoSection struct {
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`
@@ -183,22 +181,23 @@ func (s *Server) statsResponse() *StatsResponse {
 	out.Cache.Hits = st.cache.Hits
 	out.Cache.Misses = st.cache.Misses
 	out.Cache.HitRate = st.cache.HitRate()
-	if s.memo != nil {
-		ms := s.memo.Stats()
-		out.Memo = &MemoSection{
-			Hits:      st.cache.MemoHits,
-			Misses:    st.cache.MemoMisses,
-			HitRate:   st.cache.MemoHitRate(),
-			Entries:   ms.Entries,
-			Bytes:     ms.Bytes,
-			Evictions: ms.Evictions,
-		}
-	}
 	out.PhaseNanos.Insert = st.insertNs
 	out.PhaseNanos.Analyze = st.analyzeNs
 	out.PhaseNanos.Coalesce = st.coalesceNs
 	out.PhaseNanos.Rewrite = st.rewriteNs
 	st.mu.Unlock()
+
+	if s.memo != nil {
+		ms := s.memo.Stats()
+		out.Memo = &MemoSection{
+			Hits:      ms.Hits,
+			Misses:    ms.Misses,
+			HitRate:   ms.HitRate(),
+			Entries:   ms.Entries,
+			Bytes:     ms.Bytes,
+			Evictions: ms.Evictions,
+		}
+	}
 
 	snap := st.hist.snapshot()
 	out.Latency.Count = snap.count
